@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 
+use bench::args::Cli;
 use bench::{measure_workload, ToolVariant, FIGURE5_VARIANTS};
 use datagen::generate_scale_factor;
 use ttc_social_media::model::Query;
@@ -26,7 +27,7 @@ struct Args {
     json_path: Option<String>,
 }
 
-/// Accepted flags with the help line printed for each; `print_help` and the
+/// Accepted flags with the help line printed for each; the parser, `--help` and the
 /// CLI test in `tests/cli_help.rs` both enumerate this surface.
 const FLAGS: &[(&str, &str)] = &[
     ("--query", "q1, q2 or both (default both)"),
@@ -40,72 +41,39 @@ const FLAGS: &[(&str, &str)] = &[
     ("--help", "print this help"),
 ];
 
-fn print_help() {
-    println!("figure5 — phase execution times per tool variant and scale factor (paper Fig. 5)");
-    println!();
-    println!("usage: figure5 [flags]");
-    for (flag, help) in FLAGS {
-        println!("  {flag:<19} {help}");
-    }
-}
-
 fn parse_args() -> Args {
-    let mut queries = vec![Query::Q1, Query::Q2];
-    let mut phases = vec!["initial".to_string(), "update".to_string()];
-    let mut max_scale_factor = 64;
-    let mut runs = 3;
-    let mut json_path = None;
-
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut args = Args {
+        queries: vec![Query::Q1, Query::Q2],
+        phases: vec!["initial".to_string(), "update".to_string()],
+        max_scale_factor: 64,
+        runs: 3,
+        json_path: None,
+    };
+    let about = "phase execution times per tool variant and scale factor (paper Fig. 5)";
+    let mut cli = Cli::from_env("figure5", about, FLAGS);
+    while let Some(flag) = cli.next_flag() {
+        match flag {
             "--query" => {
-                i += 1;
-                queries = match argv[i].to_lowercase().as_str() {
+                args.queries = match cli.value(flag).to_lowercase().as_str() {
                     "q1" => vec![Query::Q1],
                     "q2" => vec![Query::Q2],
                     _ => vec![Query::Q1, Query::Q2],
                 };
             }
             "--phase" => {
-                i += 1;
-                phases = match argv[i].to_lowercase().as_str() {
+                args.phases = match cli.value(flag).to_lowercase().as_str() {
                     "initial" => vec!["initial".to_string()],
                     "update" => vec!["update".to_string()],
                     _ => vec!["initial".to_string(), "update".to_string()],
                 };
             }
-            "--max-sf" => {
-                i += 1;
-                max_scale_factor = argv[i].parse().expect("--max-sf expects an integer");
-            }
-            "--runs" => {
-                i += 1;
-                runs = argv[i].parse().expect("--runs expects an integer");
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(argv[i].clone());
-            }
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
+            "--max-sf" => args.max_scale_factor = cli.parsed(flag),
+            "--runs" => args.runs = cli.parsed(flag),
+            "--json" => args.json_path = Some(cli.value(flag)),
+            other => unreachable!("{other} is in FLAGS but has no handler"),
         }
-        i += 1;
     }
-    Args {
-        queries,
-        phases,
-        max_scale_factor,
-        runs,
-        json_path,
-    }
+    args
 }
 
 fn scale_factors(max: u64) -> Vec<u64> {

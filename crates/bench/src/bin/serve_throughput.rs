@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::args::Cli;
 use bench::report::{serve_phase_json, ServePhase};
 use bench::{run_in_pool, ArrivalPattern, ReadOp, ServeWorkload};
 use datagen::model::ElementId;
@@ -39,7 +40,7 @@ use ttc_social_media::pipeline::{IngestEngine, PipelineConfig, PipelinedEngine};
 use ttc_social_media::shard::ShardBackend;
 use ttc_social_media::ViewReader;
 
-/// Accepted flags with the help line printed for each; `print_help` and the
+/// Accepted flags with the help line printed for each; the parser, `--help` and the
 /// CLI test in `tests/cli_help.rs` both enumerate this surface.
 const FLAGS: &[(&str, &str)] = &[
     ("--sf", "scale factor of the generated network (default 1)"),
@@ -78,15 +79,6 @@ const FLAGS: &[(&str, &str)] = &[
     ("--help", "print this help"),
 ];
 
-fn print_help() {
-    println!("serve_throughput — read throughput of the epoch-published serving path");
-    println!();
-    println!("usage: serve_throughput [flags]");
-    for (flag, help) in FLAGS {
-        println!("  {flag:<18} {help}");
-    }
-}
-
 struct Args {
     scale_factor: u64,
     batches: usize,
@@ -115,62 +107,32 @@ fn parse_args() -> Args {
         workload: "all".to_string(),
         readers: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--sf" => {
-                i += 1;
-                args.scale_factor = argv[i].parse().expect("--sf expects an integer");
-            }
-            "--batches" => {
-                i += 1;
-                args.batches = argv[i].parse().expect("--batches expects an integer");
-            }
-            "--batch-size" => {
-                i += 1;
-                args.batch_size = argv[i].parse().expect("--batch-size expects an integer");
-            }
-            "--warmup" => {
-                i += 1;
-                args.warmup = argv[i].parse().expect("--warmup expects an integer");
-            }
-            "--seed" => {
-                i += 1;
-                args.seed = argv[i].parse().expect("--seed expects an integer");
-            }
-            "--deletions" => {
-                i += 1;
-                args.deletions = argv[i].parse().expect("--deletions expects a weight");
-            }
+    let about = "read throughput of the epoch-published serving path";
+    let mut cli = Cli::from_env("serve_throughput", about, FLAGS);
+    while let Some(flag) = cli.next_flag() {
+        match flag {
+            "--sf" => args.scale_factor = cli.parsed(flag),
+            "--batches" => args.batches = cli.parsed(flag),
+            "--batch-size" => args.batch_size = cli.parsed(flag),
+            "--warmup" => args.warmup = cli.parsed(flag),
+            "--seed" => args.seed = cli.parsed(flag),
+            "--deletions" => args.deletions = cli.parsed(flag),
             "--query" => {
-                i += 1;
-                args.query = match argv[i].to_lowercase().as_str() {
+                args.query = match cli.value(flag).to_lowercase().as_str() {
                     "q1" => Query::Q1,
                     "q2" => Query::Q2,
-                    other => {
-                        eprintln!("unknown query {other} (q1|q2)");
-                        std::process::exit(2);
-                    }
+                    other => cli.fail(flag, &format!("does not know the query `{other}`")),
                 };
             }
             "--shards" => {
-                i += 1;
-                args.shards = argv[i].parse().expect("--shards expects an integer");
-                assert!(args.shards > 0, "--shards expects an integer ≥ 1");
+                args.shards = cli.parsed(flag);
+                if args.shards == 0 {
+                    cli.fail(flag, "expects an integer ≥ 1");
+                }
             }
-            "--threads" => {
-                i += 1;
-                args.threads = argv[i].parse().expect("--threads expects an integer");
-            }
-            "--workload" => {
-                i += 1;
-                args.workload = argv[i].to_lowercase();
-            }
-            "--readers" => {
-                i += 1;
-                args.readers = Some(argv[i].parse().expect("--readers expects an integer"));
-            }
+            "--threads" => args.threads = cli.parsed(flag),
+            "--workload" => args.workload = cli.value(flag).to_lowercase(),
+            "--readers" => args.readers = Some(cli.parsed(flag)),
             "--smoke" => {
                 args.scale_factor = 1;
                 args.batches = 16;
@@ -179,16 +141,8 @@ fn parse_args() -> Args {
                 args.workload = "scan-heavy".to_string();
                 args.readers = Some(2);
             }
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
+            other => unreachable!("{other} is in FLAGS but has no handler"),
         }
-        i += 1;
     }
     args
 }

@@ -73,6 +73,7 @@
 //! drivers fails the tier-1 gate. Explicit flags placed *after* `--smoke` still
 //! apply on top of it (`--smoke --pipeline` is the pipelined smoke CI runs).
 
+use bench::args::Cli;
 use bench::{report, run_in_pool};
 use datagen::partition::{partitioner_from_name, Partitioner};
 use datagen::stream::{StreamConfig, UpdateStream};
@@ -89,7 +90,7 @@ use ttc_social_media::shard::{
 use ttc_social_media::solution::Solution;
 use ttc_social_media::stream::{StreamDriver, StreamDriverConfig};
 
-/// Accepted flags with the help line printed for each; `print_help` and the
+/// Accepted flags with the help line printed for each; the parser, `--help` and the
 /// CLI test in `tests/cli_help.rs` both enumerate this surface.
 const FLAGS: &[(&str, &str)] = &[
     ("--sf", "scale factor of the generated network (default 1)"),
@@ -164,15 +165,6 @@ const FLAGS: &[(&str, &str)] = &[
     ("--help", "print this help"),
 ];
 
-fn print_help() {
-    println!("stream_throughput — sustained streaming-update throughput of the tool variants");
-    println!();
-    println!("usage: stream_throughput [flags]");
-    for (flag, help) in FLAGS {
-        println!("  {flag:<19} {help}");
-    }
-}
-
 struct Args {
     scale_factor: u64,
     batches: usize,
@@ -219,45 +211,25 @@ fn parse_args() -> Args {
         reshards: Vec::new(),
         checkpoint_dir: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--sf" => {
-                i += 1;
-                args.scale_factor = argv[i].parse().expect("--sf expects an integer");
-            }
-            "--batches" => {
-                i += 1;
-                args.batches = argv[i].parse().expect("--batches expects an integer");
-            }
-            "--batch-size" => {
-                i += 1;
-                args.batch_size = argv[i].parse().expect("--batch-size expects an integer");
-            }
-            "--warmup" => {
-                i += 1;
-                args.warmup = argv[i].parse().expect("--warmup expects an integer");
-            }
-            "--seed" => {
-                i += 1;
-                args.seed = argv[i].parse().expect("--seed expects an integer");
-            }
-            "--deletions" => {
-                i += 1;
-                args.deletions = argv[i].parse().expect("--deletions expects a weight");
-            }
+    let about = "sustained streaming-update throughput of the tool variants";
+    let mut cli = Cli::from_env("stream_throughput", about, FLAGS);
+    while let Some(flag) = cli.next_flag() {
+        match flag {
+            "--sf" => args.scale_factor = cli.parsed(flag),
+            "--batches" => args.batches = cli.parsed(flag),
+            "--batch-size" => args.batch_size = cli.parsed(flag),
+            "--warmup" => args.warmup = cli.parsed(flag),
+            "--seed" => args.seed = cli.parsed(flag),
+            "--deletions" => args.deletions = cli.parsed(flag),
             "--query" => {
-                i += 1;
-                args.queries = match argv[i].to_lowercase().as_str() {
+                args.queries = match cli.value(flag).to_lowercase().as_str() {
                     "q1" => vec![Query::Q1],
                     "q2" => vec![Query::Q2],
                     _ => vec![Query::Q1, Query::Q2],
                 };
             }
             "--variant" => {
-                i += 1;
-                args.variants = match argv[i].to_lowercase().as_str() {
+                args.variants = match cli.value(flag).to_lowercase().as_str() {
                     "all" => vec![
                         "batch".to_string(),
                         "incremental".to_string(),
@@ -267,65 +239,32 @@ fn parse_args() -> Args {
                     other => vec![other.to_string()],
                 };
             }
-            "--threads" => {
-                i += 1;
-                args.threads = argv[i].parse().expect("--threads expects an integer");
-            }
-            "--shards" => {
-                i += 1;
-                args.shards = argv[i].parse().expect("--shards expects an integer");
-            }
-            "--partitioner" => {
-                i += 1;
-                args.partitioner = argv[i].to_lowercase();
-            }
-            "--rebalance" => {
-                args.rebalance = true;
-            }
+            "--threads" => args.threads = cli.parsed(flag),
+            "--shards" => args.shards = cli.parsed(flag),
+            "--partitioner" => args.partitioner = cli.value(flag).to_lowercase(),
+            "--rebalance" => args.rebalance = true,
             "--hot-tree" => {
-                i += 1;
-                args.hot_tree = argv[i].parse().expect("--hot-tree expects a probability");
-                assert!(
-                    (0.0..=1.0).contains(&args.hot_tree),
-                    "--hot-tree expects a probability in [0, 1]"
-                );
+                args.hot_tree = cli.parsed(flag);
+                if !(0.0..=1.0).contains(&args.hot_tree) {
+                    cli.fail(flag, "expects a probability in [0, 1]");
+                }
             }
-            "--pipeline" => {
-                args.pipeline = true;
-            }
-            "--queue-depth" => {
-                i += 1;
-                args.queue_depth = argv[i].parse().expect("--queue-depth expects an integer");
-            }
-            "--kill-shard" => {
-                i += 1;
-                args.kill_shards
-                    .push(argv[i].parse().expect("--kill-shard expects a shard index"));
-            }
-            "--recover" => {
-                args.recover = true;
-            }
-            "--checkpoint-every" => {
-                i += 1;
-                args.checkpoint_every = argv[i]
-                    .parse()
-                    .expect("--checkpoint-every expects an integer ≥ 1");
-            }
+            "--pipeline" => args.pipeline = true,
+            "--queue-depth" => args.queue_depth = cli.parsed(flag),
+            "--kill-shard" => args.kill_shards.push(cli.parsed(flag)),
+            "--recover" => args.recover = true,
+            "--checkpoint-every" => args.checkpoint_every = cli.parsed(flag),
             "--reshard" => {
-                i += 1;
-                let spec = &argv[i];
-                let (at, n) = spec
+                let spec = cli.value(flag);
+                let plan = spec
                     .split_once(':')
-                    .expect("--reshard expects AT:N (batch sequence, new shard count)");
-                args.reshards.push((
-                    at.parse().expect("--reshard AT expects an integer"),
-                    n.parse().expect("--reshard N expects an integer ≥ 1"),
-                ));
+                    .and_then(|(at, n)| Some((at.parse().ok()?, n.parse().ok()?)));
+                match plan {
+                    Some(plan) => args.reshards.push(plan),
+                    None => cli.fail(flag, &format!("cannot take the value `{spec}`")),
+                }
             }
-            "--checkpoint-dir" => {
-                i += 1;
-                args.checkpoint_dir = Some(std::path::PathBuf::from(&argv[i]));
-            }
+            "--checkpoint-dir" => args.checkpoint_dir = Some(cli.value(flag).into()),
             "--smoke" => {
                 args.scale_factor = 1;
                 args.batches = 10;
@@ -341,16 +280,8 @@ fn parse_args() -> Args {
                 ];
                 args.threads = 2;
             }
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
+            other => unreachable!("{other} is in FLAGS but has no handler"),
         }
-        i += 1;
     }
     args
 }

@@ -6,47 +6,25 @@
 //! cargo run -p bench --release --bin table2 -- [--max-sf 1024]
 //! ```
 
+use bench::args::Cli;
 use datagen::{generate_scale_factor, PAPER_TABLE2};
 
-/// Accepted flags with the help line printed for each; `print_help` and the
+/// Accepted flags with the help line printed for each; the parser, `--help` and the
 /// CLI test in `tests/cli_help.rs` both enumerate this surface.
 const FLAGS: &[(&str, &str)] = &[
     ("--max-sf", "largest scale factor to generate (default 64)"),
     ("--help", "print this help"),
 ];
 
-fn print_help() {
-    println!("table2 — benchmark graph sizes per scale factor vs. the paper (Table II)");
-    println!();
-    println!("usage: table2 [flags]");
-    for (flag, help) in FLAGS {
-        println!("  {flag:<19} {help}");
-    }
-}
-
 fn parse_max_sf() -> u64 {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let about = "benchmark graph sizes per scale factor vs. the paper (Table II)";
+    let mut cli = Cli::from_env("table2", about, FLAGS);
     let mut max = 64;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--max-sf" => {
-                i += 1;
-                max = argv.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--max-sf expects an integer (try --help)");
-                    std::process::exit(2);
-                });
-            }
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
+    while let Some(flag) = cli.next_flag() {
+        match flag {
+            "--max-sf" => max = cli.parsed(flag),
+            other => unreachable!("{other} is in FLAGS but has no handler"),
         }
-        i += 1;
     }
     max
 }

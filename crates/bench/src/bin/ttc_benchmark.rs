@@ -18,6 +18,7 @@
 
 use std::time::Instant;
 
+use bench::args::Cli;
 use bench::{build_solution, run_in_pool, ToolVariant, ALL_VARIANTS, FIGURE5_VARIANTS};
 use datagen::generate_scale_factor;
 use ttc_social_media::model::Query;
@@ -29,7 +30,7 @@ struct Args {
     tools: Vec<ToolVariant>,
 }
 
-/// Accepted flags with the help line printed for each; `print_help` and the
+/// Accepted flags with the help line printed for each; the parser, `--help` and the
 /// CLI test in `tests/cli_help.rs` both enumerate this surface.
 const FLAGS: &[(&str, &str)] = &[
     ("--sf", "scale factor of the generated network (default 4)"),
@@ -42,65 +43,36 @@ const FLAGS: &[(&str, &str)] = &[
     ("--help", "print this help"),
 ];
 
-fn print_help() {
-    println!("ttc_benchmark — raw per-iteration protocol of the TTC 2018 benchmark framework");
-    println!();
-    println!("usage: ttc_benchmark [flags]");
-    for (flag, help) in FLAGS {
-        println!("  {flag:<19} {help}");
-    }
-}
-
 fn parse_args() -> Args {
-    let mut scale_factor = 4;
-    let mut runs = 3;
-    let mut queries = vec![Query::Q1, Query::Q2];
-    let mut tools: Vec<ToolVariant> = FIGURE5_VARIANTS.to_vec();
-
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--sf" => {
-                i += 1;
-                scale_factor = argv[i].parse().expect("--sf expects an integer");
-            }
-            "--runs" => {
-                i += 1;
-                runs = argv[i].parse().expect("--runs expects an integer");
-            }
+    let mut args = Args {
+        scale_factor: 4,
+        runs: 3,
+        queries: vec![Query::Q1, Query::Q2],
+        tools: FIGURE5_VARIANTS.to_vec(),
+    };
+    let about = "raw per-iteration protocol of the TTC 2018 benchmark framework";
+    let mut cli = Cli::from_env("ttc_benchmark", about, FLAGS);
+    while let Some(flag) = cli.next_flag() {
+        match flag {
+            "--sf" => args.scale_factor = cli.parsed(flag),
+            "--runs" => args.runs = cli.parsed(flag),
             "--query" => {
-                i += 1;
-                queries = match argv[i].to_lowercase().as_str() {
+                args.queries = match cli.value(flag).to_lowercase().as_str() {
                     "q1" => vec![Query::Q1],
                     "q2" => vec![Query::Q2],
                     _ => vec![Query::Q1, Query::Q2],
                 };
             }
             "--tools" => {
-                i += 1;
-                tools = match argv[i].to_lowercase().as_str() {
+                args.tools = match cli.value(flag).to_lowercase().as_str() {
                     "all" => ALL_VARIANTS.to_vec(),
                     _ => FIGURE5_VARIANTS.to_vec(),
                 };
             }
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
+            other => unreachable!("{other} is in FLAGS but has no handler"),
         }
-        i += 1;
     }
-    Args {
-        scale_factor,
-        runs,
-        queries,
-        tools,
-    }
+    args
 }
 
 fn main() {

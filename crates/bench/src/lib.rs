@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod args;
 pub mod harness;
 pub mod registry;
 pub mod report;

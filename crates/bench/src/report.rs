@@ -1,7 +1,7 @@
 //! JSON fragments of the `stream_throughput` report rows.
 //!
 //! Factored out of the binary so the shape of the report — the thing downstream
-//! tooling (`bench_gate`, dashboards, the ROADMAP's rebalancing analysis) parses
+//! tooling (dashboards, the ROADMAP's rebalancing analysis) parses
 //! — is unit-testable: every builder here has a stable-field-order test and a
 //! round-trip test through the vendored `serde_json` parser.
 //!

@@ -1,11 +1,9 @@
-//! Shared Q2 affected-set SpGEMM replay: the workload behind the `ablation_spgemm`
-//! bench and the kernel-level `bench_gate` entries.
+//! Q2 affected-set SpGEMM replay: the workload behind the `ablation_spgemm` bench.
 //!
 //! Replays a generated scale factor through the incremental engine and records, for
 //! every changeset that contains new friendships, the operands of the paper's Fig. 4b
 //! Steps 1–4 product `AC = Likes′ ⊕.⊗ NewFriendsIncidence` plus the mask of consumed
-//! (`AC = 2`) cells. Recording lives in the bench *library* (criterion-free) so both
-//! the criterion bench and the `bench_gate` binary measure the exact same steps.
+//! (`AC = 2`) cells. Recording lives in the bench *library*, criterion-free.
 
 use datagen::generate_scale_factor;
 use graphblas::ops::{mxm, select_matrix};

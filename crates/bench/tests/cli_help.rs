@@ -1,13 +1,11 @@
 //! `--help` drift guard for the streaming benchmark binaries.
 //!
-//! Each binary's argument parser and its `--help` output are maintained by
-//! hand; these tests pin them together by running the real binaries (Cargo
-//! exposes their paths via `CARGO_BIN_EXE_*`) and asserting that every flag
-//! the parser accepts is mentioned in the help text. Adding a flag to the
-//! parser without documenting it — the drift this repo shipped before
-//! `--help` existed — fails here, as does documenting the flag list in this
-//! test without teaching the binary about it (the binary rejects unknown
-//! flags with exit code 2, covered below).
+//! Each binary's flag table feeds both its parser and its `--help` output
+//! (`bench::args`); these tests run the real binaries (Cargo exposes their
+//! paths via `CARGO_BIN_EXE_*`) and assert that every flag listed here is
+//! mentioned in the help text, and that a bad command line — an unknown flag,
+//! a flag whose value is missing, a value that does not parse — exits with
+//! status 2 and a pointer at the flag's help instead of a panic.
 
 use std::process::Command;
 
@@ -138,4 +136,40 @@ fn unknown_flags_are_rejected_with_a_help_hint() {
             "rejection should point at --help: {err}"
         );
     }
+}
+
+/// Run `bin` with `args`, require exit status 2 (not a panic's 101) and a
+/// complaint that names `flag` and points at `--help`.
+fn assert_rejected(bin: &str, args: &[&str], flag: &str) {
+    let output = Command::new(bin).args(args).output().expect("binary runs");
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "{bin} {args:?} must exit 2: {err}"
+    );
+    assert!(
+        err.contains(flag) && err.contains("--help") && !err.contains("panicked"),
+        "{bin} {args:?} should name {flag} and point at --help: {err}"
+    );
+}
+
+/// One value-taking flag per binary: with the value missing (the command
+/// line ends) and with a value that does not parse.
+#[test]
+fn missing_and_garbage_values_are_rejected_with_the_flags_help() {
+    for (bin, flag) in [
+        (env!("CARGO_BIN_EXE_stream_throughput"), "--batches"),
+        (env!("CARGO_BIN_EXE_serve_throughput"), "--readers"),
+        (env!("CARGO_BIN_EXE_figure5"), "--runs"),
+        (env!("CARGO_BIN_EXE_table2"), "--max-sf"),
+        (env!("CARGO_BIN_EXE_ttc_benchmark"), "--sf"),
+    ] {
+        assert_rejected(bin, &[flag], flag);
+        assert_rejected(bin, &[flag, "lots"], flag);
+    }
+    // the checks a binary makes on a parsed value are rejections too
+    let stream = env!("CARGO_BIN_EXE_stream_throughput");
+    assert_rejected(stream, &["--reshard", "6-4"], "--reshard");
+    assert_rejected(stream, &["--hot-tree", "1.5"], "--hot-tree");
 }

@@ -41,8 +41,11 @@ pub enum DeltaLayout {
     Gapped,
 }
 
-/// Counters and occupancy numbers of a [`DynamicMatrix`], for the ablation bench and
-/// for tuning [`DynamicMatrix::set_compaction_ratio`].
+/// When the delta holds more than this fraction of the base entries (and more than
+/// 64 elements), [`DynamicMatrix::maybe_compact`] folds it into a fresh CSR base.
+const COMPACTION_RATIO: f64 = 0.25;
+
+/// Counters and occupancy numbers of a [`DynamicMatrix`], for the ablation bench.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DynamicMatrixStats {
     /// Stored elements in the CSR base.
@@ -193,9 +196,6 @@ pub struct DynamicMatrix<T> {
     /// Per-row buffers holding insertions newer than `base`.
     delta: DeltaRows<T>,
     delta_nvals: usize,
-    /// When the delta holds more than this fraction of the base entries, `compact`
-    /// rebuilds the base (checked by [`DynamicMatrix::maybe_compact`]).
-    compaction_ratio: f64,
     compactions: usize,
 }
 
@@ -217,7 +217,6 @@ impl<T: Scalar> DynamicMatrix<T> {
             base,
             delta: DeltaRows::new(layout, nrows),
             delta_nvals: 0,
-            compaction_ratio: 0.25,
             compactions: 0,
         }
     }
@@ -225,29 +224,6 @@ impl<T: Scalar> DynamicMatrix<T> {
     /// The delta-row layout this matrix was built with.
     pub fn layout(&self) -> DeltaLayout {
         self.delta.layout()
-    }
-
-    /// Set the delta-to-base fraction past which [`DynamicMatrix::maybe_compact`]
-    /// folds the delta into a fresh CSR base. Clamped below at a small positive
-    /// value: a zero or negative ratio would compact on (almost) every insert.
-    pub fn set_compaction_ratio(&mut self, ratio: f64) {
-        self.compaction_ratio = if ratio.is_finite() {
-            ratio.max(1e-6)
-        } else {
-            0.25
-        };
-    }
-
-    /// Builder-style [`DynamicMatrix::set_compaction_ratio`].
-    #[must_use]
-    pub fn with_compaction_ratio(mut self, ratio: f64) -> Self {
-        self.set_compaction_ratio(ratio);
-        self
-    }
-
-    /// The current compaction threshold fraction.
-    pub fn compaction_ratio(&self) -> f64 {
-        self.compaction_ratio
     }
 
     /// Counters and delta occupancy (see [`DynamicMatrixStats`]).
@@ -386,10 +362,10 @@ impl<T: Scalar> DynamicMatrix<T> {
         self.compactions += 1;
     }
 
-    /// Compact only if the delta has grown past the configured fraction of the base.
+    /// Compact only if the delta has grown past a quarter of the base (and 64 elements).
     /// Returns `true` if a compaction happened.
     pub fn maybe_compact(&mut self) -> bool {
-        let threshold = (self.base.nvals() as f64 * self.compaction_ratio).max(64.0);
+        let threshold = (self.base.nvals() as f64 * COMPACTION_RATIO).max(64.0);
         if self.delta_nvals as f64 > threshold {
             self.compact();
             true
@@ -483,27 +459,6 @@ mod tests {
         assert!(dynamic.maybe_compact());
         assert_eq!(dynamic.pending_delta(), 0);
         assert_eq!(dynamic.nvals(), 120);
-    }
-
-    #[test]
-    fn compaction_ratio_is_configurable() {
-        let base_tuples: Vec<(usize, usize, u64)> = (0..1000).map(|c| (0, c, 1)).collect();
-        let base = Matrix::from_tuples(1, 2000, &base_tuples, Plus::new()).unwrap();
-        // ratio 0.1 over 1000 base entries -> threshold max(100, 64) = 100
-        let mut eager = DynamicMatrix::from_matrix(base.clone()).with_compaction_ratio(0.1);
-        let mut lazy = DynamicMatrix::from_matrix(base);
-        assert_eq!(eager.compaction_ratio(), 0.1);
-        for c in 1000..1101 {
-            eager.set(0, c, 1).unwrap();
-            lazy.set(0, c, 1).unwrap();
-        }
-        assert!(eager.maybe_compact(), "101 pending > 100 threshold");
-        assert!(!lazy.maybe_compact(), "101 pending < 250 default threshold");
-        // degenerate ratios are clamped, not honoured
-        let mut clamped: DynamicMatrix<u64> = DynamicMatrix::new(1, 10).with_compaction_ratio(-3.0);
-        assert!(clamped.compaction_ratio() > 0.0);
-        clamped.set_compaction_ratio(f64::NAN);
-        assert_eq!(clamped.compaction_ratio(), 0.25);
     }
 
     #[test]

@@ -192,7 +192,8 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Build learned column indexes over the wide rows (those with at least
-    /// [`LEARNED_ROW_CUTOFF`] stored elements) with the default epsilon.
+    /// [`LEARNED_ROW_CUTOFF`] stored elements) with corridor half-width
+    /// [`DEFAULT_EPSILON`].
     ///
     /// Freezing is an explicit, amortised step: call it when the matrix will be read
     /// heavily without structural changes — after the initial bulk load, or inside
@@ -200,16 +201,11 @@ impl<T: Scalar> Matrix<T> {
     /// mutation ([`Matrix::set`], [`Matrix::insert_tuples`], …) drops the index; the
     /// matrix then behaves exactly as before freezing.
     pub fn freeze_index(&mut self) {
-        self.freeze_index_with_epsilon(DEFAULT_EPSILON);
-    }
-
-    /// [`Matrix::freeze_index`] with an explicit corridor half-width `epsilon`.
-    pub fn freeze_index_with_epsilon(&mut self, epsilon: usize) {
         let mut rows = Vec::new();
         for r in 0..self.nrows {
             let (cols, _) = self.row(r);
             if cols.len() >= LEARNED_ROW_CUTOFF {
-                rows.push((r, LearnedSegments::build(cols, epsilon)));
+                rows.push((r, LearnedSegments::build(cols, DEFAULT_EPSILON)));
             }
         }
         self.row_index = if rows.is_empty() {

@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 pub mod graph;
+pub mod lane;
 pub mod loader;
 pub mod model;
 pub mod pipeline;
@@ -55,6 +56,7 @@ pub mod top_k;
 pub mod update;
 
 pub use graph::SocialGraph;
+pub use lane::{ApplyOutcome, Lane};
 pub use model::{IdMap, Query};
 pub use pipeline::{
     DelayInjection, EngineError, EngineReport, IngestEngine, PipelineConfig, PipelineStats,

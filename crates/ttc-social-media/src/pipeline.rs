@@ -30,16 +30,16 @@
 //!   synchronous driver, which is why the two engines are byte-identical per
 //!   batch (`tests/pipelined_differential.rs` enforces this, with injected
 //!   per-stage delays forcing out-of-order shard completion).
-//! * The per-shard evaluators are the same
-//!   [`ShardEvaluator`]s the synchronous driver
-//!   drives — each is simply *moved into* its worker thread.
+//! * The per-shard state is the same [`Lane`] the synchronous driver steps —
+//!   each is simply *moved into* its worker thread, which loops
+//!   [`Lane::step`], and handed back by value when the thread drains.
 //! * The route stage doubles as the **supervisor**: with
 //!   [`PipelineConfig::recovery`] enabled it keeps a sequenced per-shard
 //!   changeset log, the workers publish periodic checkpoints of their mirror
 //!   sub-networks into a [`CheckpointStore`], and when a worker dies (the
 //!   [`PipelineConfig::kill_shards`] chaos injection, or a panicking
-//!   evaluator) the supervisor restores the latest snapshot through the
-//!   run's [`ShardFactory`], replays the log through the ordinary apply path,
+//!   evaluator) the supervisor restores the latest snapshot
+//!   ([`Lane::restore`]), replays the log through the ordinary step path,
 //!   and the replacement rejoins the watermark merge with no visible gap —
 //!   the merger deduplicates replayed outcomes, which deterministic replay
 //!   makes byte-identical to the lost originals (see [`crate::recovery`] and
@@ -69,18 +69,19 @@ use crate::sync::{thread, Arc};
 
 use datagen::partition::{ModuloPartitioner, Partitioner};
 use datagen::stream::sequenced;
-use datagen::{apply_changeset, ChangeSet, SocialNetwork};
+use datagen::{ChangeSet, SocialNetwork};
 
+use crate::lane::{ApplyOutcome, CheckpointSink, Lane};
 use crate::recovery::{
     ChangesetLog, CheckpointStorage, CheckpointStore, FileCheckpointStore, LogEntry,
     RecoveryConfig, RecoveryStats, ShardCheckpoint,
 };
 use crate::serve::{view_channel, CandidateSnapshot, ViewBuilder, ViewPublisher, ViewReader};
 use crate::shard::{
-    load_shards_parts, ShardEvaluator, ShardFactory, ShardMerger, ShardRouter, ShardRouterStats,
+    candidate_union, load_lanes, ShardFactory, ShardMerger, ShardRouter, ShardRouterStats,
 };
 use crate::solution::Solution;
-use crate::stream::{coalesce, percentile, StreamDriver, StreamReport};
+use crate::stream::{coalesce, RunObserver, StreamDriver, StreamReport};
 use crate::top_k::RankedEntry;
 
 // ---------------------------------------------------------------------------
@@ -171,7 +172,7 @@ pub struct SyncEngine {
     driver: StreamDriver,
     solution: Box<dyn Solution>,
     /// Armed by [`SyncEngine::serve_views`]; consumed by the next run.
-    serving: Option<(ViewBuilder, ViewPublisher)>,
+    serving: Option<ServeSink>,
 }
 
 impl SyncEngine {
@@ -196,34 +197,52 @@ impl SyncEngine {
     /// freshness lag 0 and read-your-writes per batch (`DESIGN.md` §8, tested
     /// by `tests/serve.rs::sync_engine_publishes_every_batch_in_order`).
     pub fn serve_views(&mut self) -> ViewReader {
-        let builder = ViewBuilder::new(self.solution.query());
-        let (publisher, reader) = view_channel(builder.genesis());
-        self.serving = Some((builder, publisher));
+        let (sink, reader) = ServeSink::arm(ViewBuilder::new(self.solution.query()));
+        self.serving = Some(sink);
         reader
     }
 }
 
-/// [`RunObserver`] adapter: folds each applied batch into a [`ViewBuilder`]
-/// and publishes the frozen view — the synchronous engine's write side of the
-/// serve path.
-struct ServeObserver {
+/// The write side of the serve path, the same for both engines: fold what
+/// just happened into the [`ViewBuilder`], freeze a view, publish it.
+struct ServeSink {
     builder: ViewBuilder,
     publisher: ViewPublisher,
 }
 
-impl crate::stream::RunObserver for ServeObserver {
-    fn loaded(&mut self, initial: &SocialNetwork, result: &str, solution: &dyn Solution) {
-        self.builder.observe_initial(initial);
-        let snapshot = solution.candidate_snapshot().unwrap_or_default();
+impl ServeSink {
+    /// Open a publication chain at `builder`'s genesis view.
+    fn arm(builder: ViewBuilder) -> (Self, ViewReader) {
+        let (publisher, reader) = view_channel(builder.genesis());
+        (ServeSink { builder, publisher }, reader)
+    }
+
+    /// Observe → build → publish. `seq` is `None` for the initial evaluation
+    /// (`observe` then folds the loaded network), the batch's sequence number
+    /// afterwards (`observe` folds the applied changeset).
+    fn publish(
+        &mut self,
+        seq: Option<u64>,
+        observe: impl FnOnce(&mut ViewBuilder),
+        snapshot: &CandidateSnapshot,
+        result: &str,
+    ) {
+        observe(&mut self.builder);
         self.publisher
-            .publish(self.builder.build(None, &snapshot, result));
+            .publish(self.builder.build(seq, snapshot, result));
+    }
+}
+
+/// The synchronous engine publishes from the driver's [`RunObserver`] hook.
+impl RunObserver for ServeSink {
+    fn loaded(&mut self, initial: &SocialNetwork, result: &str, solution: &dyn Solution) {
+        let snapshot = solution.candidate_snapshot().unwrap_or_default();
+        self.publish(None, |b| b.observe_initial(initial), &snapshot, result);
     }
 
     fn applied(&mut self, seq: u64, changes: &ChangeSet, result: &str, solution: &dyn Solution) {
-        self.builder.observe_batch(changes);
         let snapshot = solution.candidate_snapshot().unwrap_or_default();
-        self.publisher
-            .publish(self.builder.build(Some(seq), &snapshot, result));
+        self.publish(Some(seq), |b| b.observe_batch(changes), &snapshot, result);
     }
 }
 
@@ -239,16 +258,13 @@ impl IngestEngine for SyncEngine {
         batches: usize,
     ) -> Result<EngineReport, EngineError> {
         let (report, results) = match self.serving.take() {
-            Some((builder, publisher)) => {
-                let mut observer = ServeObserver { builder, publisher };
-                self.driver.run_with_observer(
-                    self.solution.as_mut(),
-                    initial,
-                    stream,
-                    batches,
-                    &mut observer,
-                )
-            }
+            Some(mut sink) => self.driver.run_with_observer(
+                self.solution.as_mut(),
+                initial,
+                stream,
+                batches,
+                &mut sink,
+            ),
             None => self
                 .driver
                 .run_with_results(self.solution.as_mut(), initial, stream, batches),
@@ -289,25 +305,16 @@ impl DelayInjection {
         x ^ (x >> 31)
     }
 
-    fn delay(&self, stage: u64, shard: u64, seq: u64, max_micros: u64) -> Duration {
+    /// Sleep the delay of one (stage, shard, seq) triple, if any: stage 1 is
+    /// the router (shard 0), stage 2 a shard's apply.
+    fn sleep(&self, stage: u64, shard: usize, seq: u64, max_micros: u64) {
         if max_micros == 0 {
-            return Duration::ZERO;
+            return;
         }
-        let h = Self::mix(self.seed ^ Self::mix(stage ^ Self::mix(shard ^ seq)));
-        Duration::from_micros(h % (max_micros + 1))
-    }
-
-    fn sleep_route(&self, seq: u64) {
-        let d = self.delay(1, 0, seq, self.max_route_micros);
-        if !d.is_zero() {
-            thread::sleep(d);
-        }
-    }
-
-    fn sleep_apply(&self, shard: usize, seq: u64) {
-        let d = self.delay(2, shard as u64, seq, self.max_apply_micros);
-        if !d.is_zero() {
-            thread::sleep(d);
+        let h = Self::mix(self.seed ^ Self::mix(stage ^ Self::mix(shard as u64 ^ seq)));
+        let micros = h % (max_micros + 1);
+        if micros > 0 {
+            thread::sleep(Duration::from_micros(micros));
         }
     }
 }
@@ -435,12 +442,12 @@ pub struct ReshardStats {
     pub from_shards: usize,
     /// Shard count after the barrier.
     pub to_shards: usize,
-    /// Draining every worker generation to a checkpoint at exactly `at_seq`
-    /// (queue close + final checkpoints + catch-up replay of crashed
-    /// generations), in seconds.
+    /// Draining every worker generation to exactly `at_seq` (queue close,
+    /// lanes handed back by value, catch-up replay of crashed generations),
+    /// in seconds.
     pub drain_secs: f64,
-    /// Merging the drained checkpoints, re-partitioning under the resized
-    /// policy, rebuilding the per-shard evaluators, and publishing the new
+    /// Merging the drained lanes' mirrors, re-partitioning under the resized
+    /// policy, rebuilding the per-shard lanes, and publishing the new
     /// topology's checkpoints, in seconds.
     pub split_secs: f64,
     /// Spawning the new worker generations, in seconds.
@@ -453,37 +460,9 @@ pub struct ReshardStats {
 // Channel payloads
 // ---------------------------------------------------------------------------
 
-struct IngestItem {
-    seq: u64,
-    enqueued: Instant,
-    batch: ChangeSet,
-}
-
-enum RoutedItem {
-    /// One shard's slice of a coalesced micro-batch.
-    Batch {
-        seq: u64,
-        enqueued: Instant,
-        ops: ChangeSet,
-    },
-    /// Reshard drain barrier: publish a checkpoint at the current
-    /// `applied_through` (unless the cadence just did), then keep draining to
-    /// the close. Sent right before the supervisor drops the route queues, so
-    /// a cleanly-draining generation lands its state at exactly the barrier
-    /// sequence; a generation that dies first is caught up by the supervisor
-    /// instead.
-    Checkpoint,
-}
-
-struct ApplyOutcome {
-    seq: u64,
-    enqueued: Instant,
-    /// Snapshot of the shard's top-k candidates *as of this batch* — the merger
-    /// must not read live evaluator state, which may already be batches ahead.
-    candidates: Vec<RankedEntry>,
-    had_removals: bool,
-    apply_secs: f64,
-}
+// The ingest → route and route → shard queues both carry [`LogEntry`]s (seq,
+// ingest stamp, changeset — the shape the changeset log keeps for replay):
+// the whole micro-batch first, then one shard's slice of the coalesced batch.
 
 /// What flows into the watermark merge: per-shard apply outcomes, plus the
 /// sequenced topology-control item an elastic reshard injects. Topology is a
@@ -492,7 +471,8 @@ struct ApplyOutcome {
 /// in this queue, so the merge never sees an outcome under the wrong lane
 /// count.
 enum MergeItem {
-    Outcome(usize, ApplyOutcome),
+    /// `(shard, when the originating batch entered the pipeline, outcome)`.
+    Outcome(usize, Instant, ApplyOutcome),
     Reshard {
         /// Every batch `< at` was merged under the old topology when this
         /// item is processed (the barrier drained the fleet through `at`).
@@ -500,29 +480,6 @@ enum MergeItem {
         /// The new lane count.
         shards: usize,
     },
-}
-
-/// The one terminal status message every worker generation sends before it
-/// goes away — the supervisor's crash detection and end-of-stream sweep both
-/// count on exactly one of these per spawned generation.
-#[derive(Clone, Debug)]
-struct WorkerExit {
-    shard: usize,
-    generation: u64,
-    /// `true` when the generation drained its queue to a clean close; `false`
-    /// when it died (kill injection or a panicking evaluator).
-    completed: bool,
-    /// The kill-injection seq that fired, so the supervisor retires that entry
-    /// (a caught panic reports `None`).
-    kill_seq: Option<u64>,
-    /// Restore latency (snapshot decode + rebuild + log replay) when this
-    /// generation was a replacement that finished catching up.
-    restore_secs: Option<f64>,
-    sizes: (usize, usize),
-    blocked: u64,
-    checkpoints: u64,
-    checkpoint_bytes: u64,
-    replayed: u64,
 }
 
 /// Send preferring the non-blocking path, counting the times the queue was full
@@ -544,12 +501,11 @@ fn send_counting<T>(tx: &SyncSender<T>, item: T, blocked: &mut u64) -> bool {
 }
 
 /// The serve-path state the merge stage owns when view publication is armed:
-/// the view builder, the single publisher, and the side channel the route
-/// stage feeds each coalesced batch through (the builder needs the raw
-/// friendship operations, which apply outcomes do not carry).
+/// the sink, and the side channel the route stage feeds each coalesced batch
+/// through (the builder needs the raw friendship operations, which apply
+/// outcomes do not carry).
 struct ServeMergeState {
-    builder: ViewBuilder,
-    publisher: ViewPublisher,
+    sink: ServeSink,
     changes_rx: Receiver<(u64, ChangeSet)>,
 }
 
@@ -575,13 +531,12 @@ impl ServeMergeState {
             if seq != t {
                 return; // protocol drift — serve stale rather than wrong
             }
-            self.builder.observe_batch(&batch);
             let snapshot = CandidateSnapshot {
                 top: merger.current().to_vec(),
                 candidates,
             };
-            self.publisher
-                .publish(self.builder.build(Some(t), &snapshot, result));
+            self.sink
+                .publish(Some(t), |b| b.observe_batch(&batch), &snapshot, result);
         }
     }
 }
@@ -598,23 +553,6 @@ struct MergeOutput {
     per_shard_apply: Vec<Vec<f64>>,
 }
 
-/// Everything the supervisor (route stage) accumulates, returned when the
-/// stream ends and every worker generation has reported.
-struct RouteOutcome {
-    /// Router counters summed across every topology the run went through (an
-    /// elastic reshard replaces the router; its counters are folded in here
-    /// before the replacement).
-    router_stats: ShardRouterStats,
-    applied_operations: usize,
-    route_backpressure: u64,
-    apply_backpressure: u64,
-    shard_sizes: Vec<(usize, usize)>,
-    /// Shard count at the end of the run.
-    final_shards: usize,
-    recovery: Option<RecoveryStats>,
-    reshards: Vec<ReshardStats>,
-}
-
 /// Fold `from` into `into` — how router counters survive the router being
 /// replaced at a reshard barrier.
 fn accumulate_router_stats(into: &mut ShardRouterStats, from: ShardRouterStats) {
@@ -629,34 +567,35 @@ fn accumulate_router_stats(into: &mut ShardRouterStats, from: ShardRouterStats) 
 // ---------------------------------------------------------------------------
 
 /// Context a worker generation shares with the supervisor: the factory that
-/// rebuilds evaluators on restore, the checkpoint plumbing, and the channels
-/// every generation reports through. Owned (`Arc`/clones) rather than
-/// borrowed so worker threads are plain `'static` spawns the sync facade can
-/// schedule.
+/// rebuilds lanes on restore, the checkpoint plumbing, and the channels every
+/// generation reports through. Owned (`Arc`/clones) rather than borrowed so
+/// worker threads are plain `'static` spawns the sync facade can schedule.
 #[derive(Clone)]
 struct WorkerShared {
     factory: Arc<dyn ShardFactory>,
     delays: Option<DelayInjection>,
-    /// `Some` (clamped ≥ 1) exactly when recovery is enabled.
-    checkpoint_every: Option<u64>,
-    /// The checkpoint backend — in-process by default,
+    /// Checkpoint cadence (clamped ≥ 1) and store — in-process by default,
     /// [`FileCheckpointStore`] under [`PipelineConfig::checkpoint_dir`].
-    store: Option<Arc<dyn CheckpointStorage>>,
+    /// `Some` exactly when recovery is enabled.
+    checkpoints: Option<CheckpointSink>,
     out_tx: SyncSender<MergeItem>,
     status_tx: Sender<WorkerExit>,
 }
 
-/// How a worker generation starts: generation 0 inherits the evaluator built
-/// at load; replacements restore a checkpoint snapshot and replay a backlog.
+impl WorkerShared {
+    /// Rebuild `shard`'s lane from a snapshot the store served.
+    fn restore(&self, shard: usize, snapshot: &[u8]) -> Lane {
+        Lane::restore(self.factory.as_ref(), snapshot)
+            .expect("the checkpoint store only serves snapshots it encoded") // lint: allow(panic) — stores verify before serving; corruption past that is a bug, not input
+            .publishing(shard, self.checkpoints.clone())
+    }
+}
+
+/// How a worker generation starts: with a lane by value (built at load or
+/// split at a reshard barrier), or from a checkpoint snapshot plus a backlog —
+/// decoded and rebuilt on the worker thread, so the supervisor keeps routing.
 enum WorkerSeed {
-    Fresh {
-        evaluator: Box<dyn ShardEvaluator>,
-        mirror: Option<SocialNetwork>,
-        /// The sequence number this generation starts at: 0 for the load-time
-        /// fleet, the barrier sequence for a post-reshard fleet (the
-        /// checkpoint cadence is absolute, so any start works).
-        applied_through: u64,
-    },
+    Fresh(Lane),
     Restored {
         snapshot: Vec<u8>,
         backlog: Vec<LogEntry>,
@@ -665,287 +604,134 @@ enum WorkerSeed {
     },
 }
 
-enum Step {
-    Delivered,
+/// How a worker generation's life ended.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// It drained its queue to a clean close.
+    Drained,
+    /// The kill injection at this seq fired; the supervisor retires the entry.
     Killed(u64),
+    /// The evaluator panicked.
+    Panicked,
+    /// The merge stage went away — the run is failing regardless.
     MergerGone,
 }
 
-struct Worker {
+/// The one terminal status message every worker generation sends before it
+/// goes away — the supervisor's crash detection and end-of-stream sweep both
+/// count on exactly one of these per spawned generation.
+struct WorkerExit {
     shard: usize,
     generation: u64,
-    shared: WorkerShared,
-    /// Kill-injection seqs still pending for this shard when the generation
-    /// was spawned (already-fired entries are retired by the supervisor).
-    kills: Vec<u64>,
-    evaluator: Box<dyn ShardEvaluator>,
-    /// The shard's replayable sub-network — maintained only under recovery,
-    /// where it is what checkpoints serialize.
-    mirror: Option<SocialNetwork>,
-    applied_through: u64,
+    end: End,
+    /// Restore latency (snapshot decode + rebuild + log replay) when this
+    /// generation was a replacement.
+    restore_secs: Option<f64>,
+    /// The lane, handed back by value unless a panic wrecked it. The
+    /// supervisor reuses it only after [`End::Drained`]: a crashed
+    /// generation's state comes back through checkpoint + log, never this.
+    lane: Option<Lane>,
     blocked: u64,
     checkpoints: u64,
     checkpoint_bytes: u64,
     replayed: u64,
 }
 
-impl Worker {
-    /// Apply one changeset — kill check, evaluate, mirror, checkpoint,
-    /// deliver. The one code path both live batches and log replay go
-    /// through, which is what makes replayed outcomes byte-identical to the
-    /// originals.
-    fn step(&mut self, seq: u64, enqueued: Instant, ops: &ChangeSet, replaying: bool) -> Step {
-        if self.kills.contains(&seq) {
-            return Step::Killed(seq);
+/// One generation of one shard: a [`Lane`] plus what scheduling it on the
+/// stage graph adds — kill injection, delay injection, outcome delivery.
+struct Worker<'a> {
+    shard: usize,
+    generation: u64,
+    shared: &'a WorkerShared,
+    /// Kill-injection seqs still pending for this shard when the generation
+    /// was spawned (already-fired entries are retired by the supervisor).
+    kills: Vec<u64>,
+    lane: Lane,
+    blocked: u64,
+    replayed: u64,
+}
+
+impl Worker<'_> {
+    /// Kill check, [`Lane::step`], deliver — the one path live batches and
+    /// log replay (on a worker thread or inline on the supervisor) share.
+    fn step(&mut self, entry: &LogEntry, replaying: bool) -> Result<(), End> {
+        if self.kills.contains(&entry.seq) {
+            return Err(End::Killed(entry.seq));
         }
-        if !replaying {
-            if let Some(d) = &self.shared.delays {
-                d.sleep_apply(self.shard, seq);
-            }
+        match &self.shared.delays {
+            Some(d) if !replaying => d.sleep(2, self.shard, entry.seq, d.max_apply_micros),
+            _ => {}
         }
-        let start = Instant::now();
-        let had_removals = self.evaluator.apply(ops);
-        let apply_secs = start.elapsed().as_secs_f64();
-        if let Some(mirror) = &mut self.mirror {
-            apply_changeset(mirror, ops);
-        }
-        self.applied_through = seq + 1;
-        if replaying {
-            self.replayed += 1;
-        }
-        if let Some(every) = self.shared.checkpoint_every {
-            if self.applied_through.is_multiple_of(every) {
-                self.publish_checkpoint();
-            }
-        }
-        let delivered = send_counting(
-            &self.shared.out_tx,
-            MergeItem::Outcome(
-                self.shard,
-                ApplyOutcome {
-                    seq,
-                    enqueued,
-                    candidates: self.evaluator.candidates().to_vec(),
-                    had_removals,
-                    apply_secs,
-                },
-            ),
-            &mut self.blocked,
-        );
-        if delivered {
-            Step::Delivered
+        let outcome = self.lane.step(entry.seq, &entry.ops);
+        self.replayed += u64::from(replaying);
+        let item = MergeItem::Outcome(self.shard, entry.enqueued, outcome);
+        if send_counting(&self.shared.out_tx, item, &mut self.blocked) {
+            Ok(())
         } else {
-            Step::MergerGone
+            Err(End::MergerGone)
         }
     }
 
-    /// Publish a checkpoint of the mirror at the current `applied_through` —
-    /// the cadence boundary in [`Worker::step`], the drain barrier on a
-    /// [`RoutedItem::Checkpoint`] sentinel.
-    fn publish_checkpoint(&mut self) {
-        let Some(store) = &self.shared.store else {
-            return;
-        };
-        let mirror = self.mirror.as_ref().expect("recovery maintains a mirror"); // lint: allow(panic) — the store is only Some when recovery built the mirror at spawn
-        let bytes = ShardCheckpoint::encode_parts(
-            self.applied_through,
-            mirror,
-            self.evaluator.candidates(),
-        );
-        self.checkpoints += 1;
-        self.checkpoint_bytes += bytes.len() as u64;
-        store.publish(self.shard, self.applied_through, bytes);
-    }
-
-    /// `(completed, kill_seq, restore_secs)` of one generation's whole life:
-    /// replay the backlog, then drain the route queue to close.
+    /// One generation's whole life: replay the backlog, then drain the route
+    /// queue (if it has one) to close. Returns how it ended and, for a
+    /// restored generation, the restore latency.
     fn work(
         &mut self,
         backlog: Vec<LogEntry>,
-        rx: Receiver<RoutedItem>,
+        rx: Option<Receiver<LogEntry>>,
         restore_started: Option<Instant>,
-    ) -> (bool, Option<u64>, Option<f64>) {
+    ) -> (End, Option<f64>) {
         // every restored generation reports a restore duration — even one that
         // dies again mid-replay — so `restores` deterministically equals
         // `crashes` no matter where in the replay window the next kill lands
         let elapsed = |started: Option<Instant>| started.map(|t| t.elapsed().as_secs_f64());
-        // `test-bug-midreplay-undercount` reverts the PR 6 fix above: a kill
-        // landing during backlog replay reports no restore duration, so the
-        // model-check regression schedule can prove the checker catches the
-        // resulting `restores < crashes` undercount.
-        let mid_replay_elapsed = |started: Option<Instant>| {
-            if cfg!(feature = "test-bug-midreplay-undercount") {
-                None
-            } else {
-                elapsed(started)
-            }
-        };
         for entry in backlog {
-            match self.step(entry.seq, entry.enqueued, &entry.ops, true) {
-                Step::Delivered => {}
-                Step::Killed(k) => return (false, Some(k), mid_replay_elapsed(restore_started)),
-                Step::MergerGone => return (false, None, mid_replay_elapsed(restore_started)),
+            if let Err(end) = self.step(&entry, true) {
+                // `test-bug-midreplay-undercount` reverts the PR 6 fix above:
+                // a kill landing during backlog replay reports no restore
+                // duration, so the model-check regression schedule can prove
+                // the checker catches the `restores < crashes` undercount.
+                let undercount = cfg!(feature = "test-bug-midreplay-undercount");
+                return (end, elapsed(restore_started.filter(|_| !undercount)));
             }
         }
         let restore_secs = elapsed(restore_started);
-        for item in rx {
-            match item {
-                RoutedItem::Batch { seq, enqueued, ops } => {
-                    match self.step(seq, enqueued, &ops, false) {
-                        Step::Delivered => {}
-                        Step::Killed(k) => return (false, Some(k), restore_secs),
-                        Step::MergerGone => return (false, None, restore_secs),
-                    }
-                }
-                RoutedItem::Checkpoint => {
-                    // Drain barrier: land the state at exactly the barrier
-                    // sequence. A cadence boundary already published it.
-                    let on_boundary = self
-                        .shared
-                        .checkpoint_every
-                        .is_some_and(|every| self.applied_through.is_multiple_of(every));
-                    if !on_boundary {
-                        self.publish_checkpoint();
-                    }
-                }
+        for entry in rx.into_iter().flatten() {
+            if let Err(end) = self.step(&entry, false) {
+                return (end, restore_secs);
             }
         }
-        (true, None, restore_secs)
+        (End::Drained, restore_secs)
     }
 
-    fn run(mut self, backlog: Vec<LogEntry>, rx: Receiver<RoutedItem>, started: Option<Instant>) {
-        // A panicking evaluator is a crash like any other: contain it here so
-        // the generation still reports its terminal status, and discard the
-        // (possibly inconsistent) state wholesale — recovery rebuilds from the
-        // checkpoint, never from the wreck.
-        let result = catch_unwind(AssertUnwindSafe(|| self.work(backlog, rx, started)));
-        let (completed, kill_seq, restore_secs, sizes) = match result {
-            Ok((completed, kill_seq, restore_secs)) => (
-                completed,
-                kill_seq,
-                restore_secs,
-                self.evaluator.owned_sizes(),
-            ),
-            Err(_) => (false, None, None, (0, 0)),
-        };
-        // lint: allow(raw-send) — status channel is unbounded; if the supervisor is gone the exit status is moot
-        let _ = self.shared.status_tx.send(WorkerExit {
+    /// [`Worker::work`] on a worker thread. A panicking evaluator is a crash
+    /// like any other: contain it here so the generation still reports its
+    /// terminal status.
+    fn run(
+        mut self,
+        backlog: Vec<LogEntry>,
+        rx: Receiver<LogEntry>,
+        started: Option<Instant>,
+    ) -> WorkerExit {
+        let result = catch_unwind(AssertUnwindSafe(|| self.work(backlog, Some(rx), started)));
+        let (end, restore_secs) = result.unwrap_or((End::Panicked, None));
+        self.exit(end, restore_secs)
+    }
+
+    fn exit(mut self, end: End, restore_secs: Option<f64>) -> WorkerExit {
+        let (checkpoints, checkpoint_bytes) = self.lane.take_checkpoint_stats();
+        WorkerExit {
             shard: self.shard,
             generation: self.generation,
-            completed,
-            kill_seq,
+            end,
             restore_secs,
-            sizes,
+            lane: (end != End::Panicked).then_some(self.lane),
             blocked: self.blocked,
-            checkpoints: self.checkpoints,
-            checkpoint_bytes: self.checkpoint_bytes,
+            checkpoints,
+            checkpoint_bytes,
             replayed: self.replayed,
-        });
-    }
-}
-
-/// Spawn one worker generation. A [`WorkerSeed::Restored`] seed decodes and
-/// rebuilds on the worker thread, so the supervisor keeps routing the other
-/// shards while the replacement catches up. Returns the handle; the
-/// supervisor joins every generation after its terminal status arrives.
-fn spawn_worker(
-    shared: WorkerShared,
-    shard: usize,
-    generation: u64,
-    kills: Vec<u64>,
-    seed: WorkerSeed,
-    rx: Receiver<RoutedItem>,
-) -> thread::JoinHandle<()> {
-    thread::spawn(move || {
-        let factory = Arc::clone(&shared.factory);
-        let (worker, backlog, started) = match seed {
-            WorkerSeed::Fresh {
-                evaluator,
-                mirror,
-                applied_through,
-            } => (
-                Worker {
-                    shard,
-                    generation,
-                    shared,
-                    kills,
-                    evaluator,
-                    mirror,
-                    applied_through,
-                    blocked: 0,
-                    checkpoints: 0,
-                    checkpoint_bytes: 0,
-                    replayed: 0,
-                },
-                Vec::new(),
-                None,
-            ),
-            WorkerSeed::Restored {
-                snapshot,
-                backlog,
-                started,
-            } => {
-                let ckpt = ShardCheckpoint::decode(&snapshot)
-                    .expect("the in-process checkpoint store only holds snapshots it encoded"); // lint: allow(panic) — the in-process store only returns snapshots it encoded; corruption is a bug, not input
-                let evaluator = factory.build(&ckpt.network);
-                debug_assert_eq!(
-                    evaluator.candidates(),
-                    &ckpt.candidates[..], // lint: allow(index) — full-range slice, cannot panic
-                    "a rebuild from the restored mirror must reproduce the checkpointed candidates"
-                );
-                let applied_through = ckpt.applied_through;
-                (
-                    Worker {
-                        shard,
-                        generation,
-                        shared,
-                        kills,
-                        evaluator,
-                        mirror: Some(ckpt.network),
-                        applied_through,
-                        blocked: 0,
-                        checkpoints: 0,
-                        checkpoint_bytes: 0,
-                        replayed: 0,
-                    },
-                    backlog,
-                    Some(started),
-                )
-            }
-        };
-        worker.run(backlog, rx, started);
-    })
-}
-
-/// Fold one terminal worker status into the supervisor's aggregates.
-fn absorb_exit(
-    exit: WorkerExit,
-    agg: &mut RecoveryStats,
-    apply_backpressure: &mut u64,
-    remaining_kills: &mut [Vec<u64>],
-    latest_exit: &mut [Option<WorkerExit>],
-) {
-    *apply_backpressure += exit.blocked;
-    agg.checkpoints += exit.checkpoints;
-    agg.checkpoint_bytes += exit.checkpoint_bytes;
-    agg.replayed_batches += exit.replayed;
-    if let Some(secs) = exit.restore_secs {
-        agg.restores += 1;
-        if secs > agg.max_restore_secs {
-            agg.max_restore_secs = secs;
         }
     }
-    if !exit.completed {
-        agg.crashes += 1;
-        if let Some(k) = exit.kill_seq {
-            // lint: allow(index) — exit.shard was assigned by spawn_worker from 0..shards
-            if let Some(at) = remaining_kills[exit.shard].iter().position(|&x| x == k) {
-                remaining_kills[exit.shard].remove(at); // lint: allow(index) — exit.shard < shards; `at` was just found by position()
-            }
-        }
-    }
-    let shard = exit.shard;
-    latest_exit[shard] = Some(exit); // lint: allow(index) — exit.shard < shards as above
 }
 
 // ---------------------------------------------------------------------------
@@ -955,16 +741,16 @@ fn absorb_exit(
 /// The supervisor's view of the live worker fleet: one route queue and one
 /// current generation per shard, plus the exit/restore accounting that spans
 /// generations. Crash recovery (kill → respawn in place) and elastic
-/// resharding (drain the whole fleet → merge/split the checkpointed state →
-/// respawn under a new topology) are both *generation transitions* over this
-/// one structure, which is what keeps their checkpoint, replay, and
-/// merge-dedup behavior identical.
+/// resharding (drain the whole fleet → merge/split its lanes → respawn under
+/// a new topology) are both *generation transitions* over this one structure,
+/// which is what keeps their checkpoint, replay, and merge-dedup behavior
+/// identical.
 struct WorkerFleet {
     shared: WorkerShared,
     depth: usize,
     /// Current shard count — changes only at a reshard barrier.
     shards: usize,
-    txs: Vec<SyncSender<RoutedItem>>,
+    txs: Vec<SyncSender<LogEntry>>,
     /// Generation currently owning each shard. Generation numbers are global
     /// and never reused across topology changes ([`WorkerFleet::next_gen`]),
     /// so a stale exit can never be mistaken for the current generation of a
@@ -975,58 +761,44 @@ struct WorkerFleet {
     generations: usize,
     exits_seen: usize,
     latest_exit: Vec<Option<WorkerExit>>,
-    remaining_kills: Vec<Vec<u64>>,
-    /// Kill injections scheduled on shard ids outside the current topology;
-    /// they re-arm if a later reshard brings the id back.
-    parked_kills: Vec<(usize, u64)>,
+    /// `(shard, seq)` kill injections that have not fired yet. One addressed
+    /// at a shard id outside the current topology just waits: it arms when a
+    /// reshard brings the id (back) into existence.
+    pending_kills: Vec<(usize, u64)>,
     logs: Vec<ChangesetLog>,
-    sizes: Vec<(usize, usize)>,
     handles: Vec<thread::JoinHandle<()>>,
     agg: RecoveryStats,
     apply_backpressure: u64,
 }
 
 impl WorkerFleet {
-    fn new(
-        shared: WorkerShared,
-        depth: usize,
-        shards: usize,
-        kill_shards: &[(usize, u64)],
-        agg: RecoveryStats,
-    ) -> Self {
-        let mut remaining_kills: Vec<Vec<u64>> = vec![Vec::new(); shards];
-        let mut parked_kills = Vec::new();
-        for &(shard, seq) in kill_shards {
-            if shard < shards {
-                remaining_kills[shard].push(seq); // lint: allow(index) — guarded by shard < shards
-            } else {
-                parked_kills.push((shard, seq));
-            }
-        }
-        WorkerFleet {
+    /// An empty fleet over `shards` shards; the caller spawns generation 0.
+    fn new(shared: WorkerShared, depth: usize, shards: usize, kills: &[(usize, u64)]) -> Self {
+        let mut fleet = WorkerFleet {
             shared,
             depth,
-            shards,
-            txs: Vec::with_capacity(shards),
-            current_gen: vec![0; shards],
+            shards: 0,
+            txs: Vec::new(),
+            current_gen: Vec::new(),
             next_gen: 0,
             generations: 0,
             exits_seen: 0,
-            latest_exit: vec![None; shards],
-            remaining_kills,
-            parked_kills,
-            logs: (0..shards).map(|_| ChangesetLog::default()).collect(),
-            sizes: vec![(0, 0); shards],
+            latest_exit: Vec::new(),
+            pending_kills: kills.to_vec(),
+            logs: Vec::new(),
             handles: Vec::new(),
-            agg,
+            agg: RecoveryStats::default(),
             apply_backpressure: 0,
-        }
+        };
+        fleet.adopt_topology(shards);
+        fleet
     }
 
     /// Spawn the next generation for `shard`: create its route queue, assign
-    /// the globally-unique generation number, and move the seed in.
+    /// the globally-unique generation number, and move the seed in. The
+    /// supervisor joins every generation after its terminal status arrives.
     fn spawn(&mut self, shard: usize, seed: WorkerSeed) {
-        let (tx, rx) = sync_channel::<RoutedItem>(self.depth);
+        let (tx, rx) = sync_channel::<LogEntry>(self.depth);
         if shard == self.txs.len() {
             self.txs.push(tx);
         } else {
@@ -1036,26 +808,70 @@ impl WorkerFleet {
         self.next_gen += 1;
         self.current_gen[shard] = generation; // lint: allow(index) — shard < shards as above
         self.generations += 1;
-        self.handles.push(spawn_worker(
-            self.shared.clone(),
-            shard,
-            generation,
-            self.remaining_kills[shard].clone(), // lint: allow(index) — shard < shards as above
-            seed,
-            rx,
-        ));
+        let shared = self.shared.clone();
+        let kills = self.kills_for(shard);
+        self.handles.push(thread::spawn(move || {
+            let (lane, backlog, started) = match seed {
+                WorkerSeed::Fresh(lane) => (lane, Vec::new(), None),
+                WorkerSeed::Restored {
+                    snapshot,
+                    backlog,
+                    started,
+                } => (shared.restore(shard, &snapshot), backlog, Some(started)),
+            };
+            let worker = Worker {
+                shard,
+                generation,
+                shared: &shared,
+                kills,
+                lane,
+                blocked: 0,
+                replayed: 0,
+            };
+            let exit = worker.run(backlog, rx, started);
+            // lint: allow(raw-send) — status channel is unbounded; if the supervisor is gone the exit status is moot
+            let _ = shared.status_tx.send(exit);
+        }));
+    }
+
+    /// The pending kill-injection seqs of `shard`.
+    fn kills_for(&self, shard: usize) -> Vec<u64> {
+        let on_shard = self.pending_kills.iter().filter(|&&(s, _)| s == shard);
+        on_shard.map(|&(_, seq)| seq).collect()
     }
 
     /// Fold one terminal worker status into the fleet's accounting.
-    fn absorb(&mut self, exit: WorkerExit) {
+    fn account(&mut self, exit: WorkerExit) {
+        self.apply_backpressure += exit.blocked;
+        self.agg.checkpoints += exit.checkpoints;
+        self.agg.checkpoint_bytes += exit.checkpoint_bytes;
+        self.agg.replayed_batches += exit.replayed;
+        if let Some(secs) = exit.restore_secs {
+            self.agg.restores += 1;
+            self.agg.max_restore_secs = self.agg.max_restore_secs.max(secs);
+        }
+        if exit.end != End::Drained {
+            self.agg.crashes += 1;
+        }
+        if let End::Killed(k) = exit.end {
+            let fired = (exit.shard, k);
+            if let Some(at) = self.pending_kills.iter().position(|&x| x == fired) {
+                self.pending_kills.remove(at); // one entry per firing: a duplicate kills the replacement too
+            }
+        }
+        let shard = exit.shard;
+        self.latest_exit[shard] = Some(exit); // lint: allow(index) — exit.shard < shards as above
+    }
+
+    /// Receive one spawned generation's terminal status and account for it.
+    fn absorb_next(&mut self, status_rx: &Receiver<WorkerExit>) -> (usize, u64) {
+        let exit = status_rx
+            .recv()
+            .expect("every worker generation reports an exit"); // lint: allow(panic) — workers send their exit on every path, panic included (catch_unwind)
+        let from = (exit.shard, exit.generation);
         self.exits_seen += 1;
-        absorb_exit(
-            exit,
-            &mut self.agg,
-            &mut self.apply_backpressure,
-            &mut self.remaining_kills,
-            &mut self.latest_exit,
-        );
+        self.account(exit);
+        from
     }
 
     /// Block until the current generation of `shard` has reported its
@@ -1067,40 +883,25 @@ impl WorkerFleet {
     /// for an exit another detection loop already absorbed, and the
     /// model-check regression schedule proves that deadlocks.
     fn await_generation(&mut self, shard: usize, status_rx: &Receiver<WorkerExit>) {
-        let already_absorbed = if cfg!(feature = "test-bug-absorbed-exit") {
-            false
-        } else {
-            self.latest_exit[shard] // lint: allow(index) — shard < shards: callers pass a live shard id
+        let current = (shard, self.current_gen[shard]); // lint: allow(index) — shard < shards: callers pass a live shard id
+        let already_absorbed = !cfg!(feature = "test-bug-absorbed-exit")
+            && self.latest_exit[shard] // lint: allow(index) — shard < shards as above
                 .as_ref()
-                // lint: allow(index) — shard < shards as above
-                .is_some_and(|exit| exit.generation == self.current_gen[shard])
-        };
+                .is_some_and(|exit| exit.generation == current.1);
         if already_absorbed {
             return;
         }
-        loop {
-            let exit = status_rx
-                .recv()
-                .expect("every worker generation reports an exit"); // lint: allow(panic) — workers send their exit on every path, panic included (catch_unwind)
-            let from = (exit.shard, exit.generation);
-            self.absorb(exit);
-            // lint: allow(index) — shard < shards as above
-            if from == (shard, self.current_gen[shard]) {
-                break;
-            }
-        }
+        while self.absorb_next(status_rx) != current {}
     }
 
     /// Close every route queue, absorb every outstanding terminal status, and
     /// join the worker threads. After this the fleet is empty; the caller
-    /// respawns (reshard barrier) or aggregates (end of stream).
+    /// settles each shard's lane and respawns (reshard barrier) or aggregates
+    /// (end of stream).
     fn drain(&mut self, status_rx: &Receiver<WorkerExit>) {
         self.txs.clear(); // dropping the senders closes the queues
         while self.exits_seen < self.generations {
-            let exit = status_rx
-                .recv()
-                .expect("every worker generation reports an exit"); // lint: allow(panic) — workers send their exit on every path, panic included (catch_unwind)
-            self.absorb(exit);
+            self.absorb_next(status_rx);
         }
         // Every generation has reported, so the worker threads are draining
         // their last drops; join them before the caller moves on (a
@@ -1111,149 +912,83 @@ impl WorkerFleet {
         }
     }
 
-    /// Replay `shard` forward from its latest checkpoint **on the supervisor
-    /// thread**: rebuild the evaluator, re-apply the logged entries below
-    /// `through` (re-delivering their outcomes — the merger deduplicates
-    /// whatever the dead generation already delivered), and count the
-    /// restore. A still-pending kill inside the replay window fires here too:
-    /// another crash, another restore, and the attempt starts over from the
-    /// checkpoint — which keeps `restores == crashes` no matter where the
-    /// kill lands. With `final_at` set (a reshard barrier), a closing
-    /// checkpoint is published at exactly that sequence.
-    fn catch_up(
-        &mut self,
-        shard: usize,
-        through: u64,
-        final_at: Option<u64>,
-        router: &mut ShardRouter,
-    ) {
-        let store = self.shared.store.clone().expect("recovery implies a store"); // lint: allow(panic) — callers reach catch-up only when recovery is configured
-        let every = self
+    /// `shard`'s latest snapshot plus the logged entries from it up to (not
+    /// including) `below` — what a restore rebuilds from and replays.
+    fn restore_point(&self, shard: usize, below: u64) -> (Vec<u8>, Vec<LogEntry>) {
+        let sink = self
             .shared
-            .checkpoint_every
-            .expect("recovery implies a checkpoint cadence"); // lint: allow(panic) — recovery always carries a checkpoint cadence
-        'attempt: loop {
+            .checkpoints
+            .as_ref()
+            .expect("recovery implies a store"); // lint: allow(panic) — callers restore only when recovery is configured
+        let (at, snapshot) = sink
+            .store
+            .load(shard)
+            .expect("initial checkpoints are published at load"); // lint: allow(panic) — load publishes an initial checkpoint for every shard before workers start
+        let backlog = self.logs[shard] // lint: allow(index) — shard < shards: callers pass a live shard id
+            .replay_range(at, u64::MAX)
+            .filter(|entry| entry.seq < below)
+            .cloned()
+            .collect();
+        (snapshot, backlog)
+    }
+
+    /// After a [`WorkerFleet::drain`], hand back `shard`'s final exit with
+    /// every batch below `through` applied to its lane. A generation that
+    /// drained cleanly already is that. One that died with no later batch to
+    /// trip a failed send (killed at the final batch, inside a barrier's
+    /// drain window, or while replaying at stream end) is only visible here:
+    /// it is restored from its latest checkpoint and replayed **on the
+    /// supervisor thread** as an ordinary worker generation run inline (the
+    /// merger deduplicates what the dead generation already delivered). A
+    /// still-pending kill inside the replay window fires here too — another
+    /// crash, another restore, from the checkpoint again — which keeps
+    /// `restores == crashes` no matter where the kill lands.
+    fn settle(&mut self, shard: usize, through: u64, router: &mut ShardRouter) -> WorkerExit {
+        loop {
+            let exit = self.latest_exit[shard] // lint: allow(index) — shard < shards: callers enumerate the drained topology
+                .take()
+                .expect("every shard spawned at least one generation"); // lint: allow(panic) — every shard spawns a generation before the fleet is drained
+            if self.shared.checkpoints.is_none()
+                || matches!(exit.end, End::Drained | End::MergerGone)
+            {
+                // drained: done. Otherwise nothing to restore from (no
+                // recovery) or nobody to deliver to (no merger): the run fails
+                return exit;
+            }
             let started = Instant::now();
-            let (at, snapshot) = store
-                .load(shard)
-                .expect("initial checkpoints are published at load"); // lint: allow(panic) — load publishes an initial checkpoint for every shard before workers start
-            let ckpt = ShardCheckpoint::decode(&snapshot)
-                .expect("the checkpoint store only serves snapshots it encoded"); // lint: allow(panic) — the store only serves snapshots that passed verification
-            let mut evaluator = self.shared.factory.build(&ckpt.network);
-            let mut mirror = ckpt.network;
-            let mut applied_through = ckpt.applied_through;
-            if through > 0 {
-                let entries: Vec<LogEntry> = self.logs[shard] // lint: allow(index) — shard < shards: callers pass a live shard id
-                    .replay_range(at, through - 1)
-                    .cloned()
-                    .collect();
-                for entry in entries {
-                    // lint: allow(index) — shard < shards as above
-                    let pending = &self.remaining_kills[shard];
-                    if let Some(pos) = pending.iter().position(|&k| k == entry.seq) {
-                        self.remaining_kills[shard].remove(pos); // lint: allow(index) — shard < shards; pos was just found by position()
-                        self.agg.crashes += 1;
-                        self.agg.restores += 1;
-                        let secs = started.elapsed().as_secs_f64();
-                        if secs > self.agg.max_restore_secs {
-                            self.agg.max_restore_secs = secs;
-                        }
-                        continue 'attempt;
-                    }
-                    let start = Instant::now();
-                    let had_removals = evaluator.apply(&entry.ops);
-                    let apply_secs = start.elapsed().as_secs_f64();
-                    apply_changeset(&mut mirror, &entry.ops);
-                    applied_through = entry.seq + 1;
-                    self.agg.replayed_batches += 1;
-                    if applied_through.is_multiple_of(every) {
-                        let bytes = ShardCheckpoint::encode_parts(
-                            applied_through,
-                            &mirror,
-                            evaluator.candidates(),
-                        );
-                        self.agg.checkpoints += 1;
-                        self.agg.checkpoint_bytes += bytes.len() as u64;
-                        store.publish(shard, applied_through, bytes);
-                    }
-                    let delivered = send_counting(
-                        &self.shared.out_tx,
-                        MergeItem::Outcome(
-                            shard,
-                            ApplyOutcome {
-                                seq: entry.seq,
-                                enqueued: entry.enqueued,
-                                candidates: evaluator.candidates().to_vec(),
-                                had_removals,
-                                apply_secs,
-                            },
-                        ),
-                        &mut self.apply_backpressure,
-                    );
-                    if !delivered {
-                        break; // merger gone — the run fails anyway
-                    }
-                }
-            }
-            if let Some(final_at) = final_at {
-                debug_assert_eq!(
-                    applied_through, final_at,
-                    "a reshard catch-up must land exactly on the barrier"
-                );
-                if !applied_through.is_multiple_of(every) {
-                    let bytes = ShardCheckpoint::encode_parts(
-                        applied_through,
-                        &mirror,
-                        evaluator.candidates(),
-                    );
-                    self.agg.checkpoints += 1;
-                    self.agg.checkpoint_bytes += bytes.len() as u64;
-                    store.publish(shard, applied_through, bytes);
-                }
-            }
-            self.agg.restores += 1;
-            let secs = started.elapsed().as_secs_f64();
-            if secs > self.agg.max_restore_secs {
-                self.agg.max_restore_secs = secs;
-            }
+            let (snapshot, backlog) = self.restore_point(shard, through);
             router.record_restore(shard, shard);
-            self.sizes[shard] = evaluator.owned_sizes(); // lint: allow(index) — shard < shards as above
-            break;
+            let mut worker = Worker {
+                shard,
+                generation: self.current_gen[shard], // lint: allow(index) — shard < shards as above
+                shared: &self.shared,
+                kills: self.kills_for(shard),
+                lane: self.shared.restore(shard, &snapshot),
+                blocked: 0,
+                replayed: 0,
+            };
+            let (end, restore_secs) = worker.work(backlog, None, Some(started));
+            let exit = worker.exit(end, restore_secs);
+            self.account(exit);
         }
     }
 
-    /// Reset the per-shard state for a new topology of `new_count` shards.
-    /// The route queues must already be drained. Changeset logs start fresh
-    /// (the new topology's checkpoints sit at the barrier, so nothing older
-    /// is replayable), and kill injections are re-filed against the new
-    /// shard-id range.
+    /// Reset the per-shard state for a topology of `new_count` shards. The
+    /// route queues must be drained (or not spawned yet). Changeset logs start
+    /// fresh: the new topology's checkpoints sit at the barrier, so nothing
+    /// older is replayable.
     fn adopt_topology(&mut self, new_count: usize) {
         debug_assert!(self.txs.is_empty(), "adopting a topology over a live fleet");
-        let mut parked = std::mem::take(&mut self.parked_kills);
-        for (shard, kills) in self.remaining_kills.iter_mut().enumerate() {
-            if shard >= new_count {
-                parked.extend(kills.drain(..).map(|seq| (shard, seq)));
-            }
-        }
-        self.remaining_kills.resize_with(new_count, Vec::new);
-        for (shard, seq) in parked {
-            if shard < new_count {
-                self.remaining_kills[shard].push(seq); // lint: allow(index) — guarded by shard < new_count
-            } else {
-                self.parked_kills.push((shard, seq));
-            }
-        }
         self.shards = new_count;
         self.txs = Vec::with_capacity(new_count);
         self.current_gen = vec![0; new_count];
-        self.latest_exit = vec![None; new_count];
+        self.latest_exit = (0..new_count).map(|_| None).collect();
         self.logs = (0..new_count).map(|_| ChangesetLog::default()).collect();
-        self.sizes = vec![(0, 0); new_count];
     }
 
     /// Execute one reshard barrier right before routing batch `at`: drain the
-    /// fleet to a checkpoint at exactly `at`, merge and re-partition the
-    /// checkpointed state over `new_count` shards, publish the new topology's
+    /// fleet, take every shard's lane at exactly `at`, merge and re-partition
+    /// their mirrors over `new_count` shards, publish the new topology's
     /// checkpoints, tell the merge stage to resize its lanes, and respawn one
     /// fresh generation per new shard. Returns the replacement router and the
     /// barrier's cost accounting. The whole protocol and its correctness
@@ -1262,31 +997,23 @@ impl WorkerFleet {
         &mut self,
         at: u64,
         new_count: usize,
-        router: ShardRouter,
+        mut router: ShardRouter,
         status_rx: &Receiver<WorkerExit>,
     ) -> (ShardRouter, ReshardStats) {
-        let mut router = router;
         let from_shards = self.shards;
-        // Phase 1 — drain. The checkpoint sentinel makes every cleanly
-        // draining generation land its state at exactly `at`; a generation
-        // that dies inside the drain window is caught up on this thread.
+        // Phase 1 — drain. The supervisor has routed exactly the batches
+        // below `at`, so every cleanly draining generation hands its lane back
+        // at `at`; one that died inside the drain window is replayed to `at`
+        // from its checkpoint + log on this thread.
         let drain_start = Instant::now();
-        let mut drain_blocked = 0u64;
-        for tx in &self.txs {
-            // a dead worker just means the sentinel is undeliverable — the
-            // catch-up below brings that shard to the barrier instead
-            let _ = send_counting(tx, RoutedItem::Checkpoint, &mut drain_blocked);
-        }
         self.drain(status_rx);
-        for shard in 0..from_shards {
-            let crashed = self.latest_exit[shard] // lint: allow(index) — shard enumerates 0..from_shards
-                .take()
-                .map(|exit| !exit.completed)
-                .expect("every shard spawned at least one generation"); // lint: allow(panic) — every shard spawns a generation before a barrier can fire
-            if crashed {
-                self.catch_up(shard, at, Some(at), &mut router);
-            }
-        }
+        let drained: Vec<ShardCheckpoint> = (0..from_shards)
+            .map(|shard| {
+                let lane = self.settle(shard, at, &mut router).lane;
+                lane.expect("a settled generation hands its lane back") // lint: allow(panic) — settle replaces every panicked generation; only a vanished merger (the run is failing) skips that
+                    .into_checkpoint()
+            })
+            .collect();
         let drain_secs = drain_start.elapsed().as_secs_f64();
 
         // Phase 2 — merge, re-partition, rebuild. The per-shard mirrors
@@ -1295,26 +1022,8 @@ impl WorkerFleet {
         // global adjacency), so the union is re-stamped with the live edge
         // set before splitting (see ShardCheckpoint::merge).
         let split_start = Instant::now();
-        let store = self
-            .shared
-            .store
-            .clone()
-            .expect("resharding implies a store"); // lint: allow(panic) — a reshard schedule arms recovery, which builds the store
-        let drained: Vec<ShardCheckpoint> = (0..from_shards)
-            .map(|shard| {
-                let (ckpt_at, snapshot) = store
-                    .load(shard)
-                    .expect("the drain published a checkpoint for every shard"); // lint: allow(panic) — the drain above landed every shard at the barrier
-                debug_assert_eq!(
-                    ckpt_at, at,
-                    "shard {shard} drained to {ckpt_at}, barrier is {at}"
-                );
-                let decoded = ShardCheckpoint::decode(&snapshot)
-                    .expect("the store only serves snapshots it encoded"); // lint: allow(panic) — the store verifies checksums before serving
-                decoded
-            })
-            .collect();
         let mut union = ShardCheckpoint::merge(drained);
+        debug_assert_eq!(union.applied_through, at, "lanes drained off the barrier");
         union.network.friendships = router.live_friendships();
         let partitioner = router.partitioner().resize(new_count);
         let parts = union.split(partitioner.as_ref(), new_count);
@@ -1325,24 +1034,23 @@ impl WorkerFleet {
             .iter()
             .filter(|c| router.shard_of_comment(c.id) != new_router.shard_of_comment(c.id))
             .count() as u64;
-        // Rebuild the evaluators and re-stamp the candidate lists before
-        // publishing: split routes candidates to their new owners but cannot
-        // widen a list the donor had cut at k — the rebuilt evaluator's own
-        // list is the exact one (see ShardCheckpoint::split).
-        let seeds: Vec<(Box<dyn ShardEvaluator>, SocialNetwork)> = parts
+        if let Some(sink) = &self.shared.checkpoints {
+            sink.store.resize(new_count);
+        }
+        // Rebuild the lanes from the split mirrors and publish from *them*:
+        // split routes candidates to their new owners but cannot widen a list
+        // the donor had cut at k — the rebuilt evaluator's own list is the
+        // exact one (see ShardCheckpoint::split).
+        let lanes: Vec<Lane> = parts
             .into_iter()
-            .map(|part| {
-                let evaluator = self.shared.factory.build(&part.network);
-                (evaluator, part.network)
+            .enumerate()
+            .map(|(shard, part)| {
+                let mut lane = Lane::from_mirror(self.shared.factory.as_ref(), part.network, at)
+                    .publishing(shard, self.shared.checkpoints.clone());
+                lane.publish();
+                lane
             })
             .collect();
-        store.resize(new_count);
-        for (shard, (evaluator, mirror)) in seeds.iter().enumerate() {
-            let bytes = ShardCheckpoint::encode_parts(at, mirror, evaluator.candidates());
-            self.agg.checkpoints += 1;
-            self.agg.checkpoint_bytes += bytes.len() as u64;
-            store.publish(shard, at, bytes);
-        }
         let split_secs = split_start.elapsed().as_secs_f64();
 
         // Phase 3 — adopt the topology and respawn. The control item is
@@ -1360,15 +1068,8 @@ impl WorkerFleet {
             },
             &mut self.apply_backpressure,
         );
-        for (shard, (evaluator, mirror)) in seeds.into_iter().enumerate() {
-            self.spawn(
-                shard,
-                WorkerSeed::Fresh {
-                    evaluator,
-                    mirror: Some(mirror),
-                    applied_through: at,
-                },
-            );
+        for (shard, lane) in lanes.into_iter().enumerate() {
+            self.spawn(shard, WorkerSeed::Fresh(lane));
         }
         let respawn_secs = respawn_start.elapsed().as_secs_f64();
         (
@@ -1402,7 +1103,7 @@ pub struct PipelinedEngine {
     partitioner: Box<dyn Partitioner>,
     config: PipelineConfig,
     /// Armed by [`PipelinedEngine::serve_views`]; consumed by the next run.
-    serving: Option<(ViewBuilder, ViewPublisher)>,
+    serving: Option<ServeSink>,
 }
 
 impl PipelinedEngine {
@@ -1467,8 +1168,8 @@ impl PipelinedEngine {
         // Views advertise the topology they were built under; the merge stage
         // re-stamps the builder when a reshard barrier changes it mid-stream.
         builder.set_shards(self.shards);
-        let (publisher, reader) = view_channel(builder.genesis());
-        self.serving = Some((builder, publisher));
+        let (sink, reader) = ServeSink::arm(builder);
+        self.serving = Some(sink);
         reader
     }
 
@@ -1493,7 +1194,7 @@ impl PipelinedEngine {
         shards: usize,
         mut serve: Option<ServeMergeState>,
     ) -> (MergeOutput, ShardMerger) {
-        let mut buffers: Vec<VecDeque<ApplyOutcome>> =
+        let mut buffers: Vec<VecDeque<(Instant, ApplyOutcome)>> =
             (0..shards).map(|_| VecDeque::new()).collect();
         // Per shard: the next sequence number to accept. Buffers hold exactly
         // the accepted-but-unmerged range `[t, delivered[s])`.
@@ -1507,8 +1208,8 @@ impl PipelinedEngine {
             per_shard_apply: vec![Vec::new(); shards],
         };
         for item in rx {
-            let (shard, outcome) = match item {
-                MergeItem::Outcome(shard, outcome) => (shard, outcome),
+            let (shard, enqueued, outcome) = match item {
+                MergeItem::Outcome(shard, enqueued, outcome) => (shard, enqueued, outcome),
                 MergeItem::Reshard {
                     at,
                     shards: new_shards,
@@ -1531,7 +1232,7 @@ impl PipelinedEngine {
                     if let Some(state) = serve.as_mut() {
                         // Views published from here on note the new topology
                         // (the epoch chain itself continues uninterrupted).
-                        state.builder.set_shards(new_shards);
+                        state.sink.builder.set_shards(new_shards);
                     }
                     continue;
                 }
@@ -1547,24 +1248,22 @@ impl PipelinedEngine {
                 continue; // replayed duplicate of an already-accepted outcome
             }
             delivered[shard] += 1; // lint: allow(index) — outcome.shard < shards as above
-            buffers[shard].push_back(outcome); // lint: allow(index) — outcome.shard < shards as above
+            buffers[shard].push_back((enqueued, outcome)); // lint: allow(index) — outcome.shard < shards as above
             while buffers.iter().all(|buffer| !buffer.is_empty()) {
                 for &d in &delivered {
                     out.max_watermark_lag = out.max_watermark_lag.max(d - 1 - t);
                 }
-                let outcomes: Vec<ApplyOutcome> = buffers
-                    .iter_mut()
-                    .map(|buffer| buffer.pop_front().expect("buffer non-empty")) // lint: allow(panic) — the merge fires only when every per-shard buffer is non-empty (checked above)
-                    .collect();
-                debug_assert!(
-                    outcomes.iter().all(|o| o.seq == t),
-                    "merge fell out of batch order at {t}"
-                );
-                let any_removals = outcomes.iter().any(|o| o.had_removals);
-                let union: Vec<RankedEntry> = outcomes
-                    .iter()
-                    .flat_map(|o| o.candidates.iter().copied())
-                    .collect();
+                let mut any_removals = false;
+                let mut union: Vec<RankedEntry> = Vec::new();
+                let mut enqueued = None;
+                for (shard, buffer) in buffers.iter_mut().enumerate() {
+                    let (at, outcome) = buffer.pop_front().expect("buffer non-empty"); // lint: allow(panic) — the merge fires only when every per-shard buffer is non-empty (checked above)
+                    debug_assert_eq!(outcome.seq, t, "merge fell out of batch order");
+                    any_removals |= outcome.had_removals;
+                    union.extend(outcome.candidates);
+                    out.per_shard_apply[shard].push(outcome.apply_secs); // lint: allow(index) — per_shard_apply has a lane for every buffer (sized with them, only ever grown)
+                    enqueued.get_or_insert(at);
+                }
                 // `merge` consumes the union; the serve path needs it again as
                 // the view's candidate pool, so keep a copy only when serving.
                 let candidates = serve.as_ref().map(|_| union.clone());
@@ -1572,11 +1271,8 @@ impl PipelinedEngine {
                 if let (Some(state), Some(candidates)) = (serve.as_mut(), candidates) {
                     state.publish(t, candidates, &merger, &result);
                 }
-                for (shard, outcome) in outcomes.iter().enumerate() {
-                    out.per_shard_apply[shard].push(outcome.apply_secs); // lint: allow(index) — shard enumerates the per-shard vectors built over 0..shards
-                }
                 out.results.push(result);
-                out.enqueued.push(outcomes[0].enqueued); // lint: allow(index) — outcomes has one entry per shard and shards >= 1
+                out.enqueued.extend(enqueued); // shard 0's stamp; every shard carries the same one
                 out.completed.push(Instant::now());
                 t += 1;
             }
@@ -1614,38 +1310,28 @@ impl IngestEngine for PipelinedEngine {
         let coalesce_on = self.config.coalesce;
         let delays = self.config.delays.clone();
         let kill_shards = self.config.kill_shards.clone();
-        // The reshard plan fires in at_seq order; a zero target count is
-        // clamped like a zero shard count at construction.
-        let reshards: Vec<(u64, usize)> = {
-            let mut plan: Vec<(u64, usize)> = self
-                .config
-                .reshards
-                .iter()
-                .map(|&(at, n)| (at, n.max(1)))
-                .collect();
-            plan.sort_by_key(|&(at, _)| at);
-            plan
-        };
+        // The reshard plan fires in at_seq order (a zero target count is
+        // clamped at the barrier, like a zero shard count at construction).
+        let mut reshards: Vec<(u64, usize)> = self.config.reshards.clone();
+        reshards.sort_by_key(|&(at, _)| at);
         // Resharding runs on the recovery machinery (checkpoints, changeset
         // logs, catch-up replay), so a reshard schedule arms it with defaults
         // when the caller left it off.
-        let recovery = if reshards.is_empty() {
-            self.config.recovery.clone()
-        } else {
-            self.config
-                .recovery
-                .clone()
-                .or_else(|| Some(RecoveryConfig::default()))
-        };
+        let recovery = (self.config.recovery.clone())
+            .or_else(|| (!reshards.is_empty()).then(RecoveryConfig::default));
         let factory = Arc::clone(&self.factory);
 
         // Load phase: the exact function the synchronous driver runs —
-        // partition, build the per-shard evaluators (rayon-parallel), seed the
+        // partition, build the per-shard lanes (rayon-parallel), seed the
         // merge state — so the two engines cannot drift apart before batch 0.
-        // The per-shard sub-networks become the workers' recovery mirrors.
+        // Under recovery the lanes keep their mirrors.
         let load_start = Instant::now();
-        let (router, parts, evaluators, merger, initial_result) =
-            load_shards_parts(factory.as_ref(), initial, self.partitioner.clone());
+        let (router, lanes, merger, initial_result) = load_lanes(
+            factory.as_ref(),
+            initial,
+            self.partitioner.clone(),
+            recovery.is_some(),
+        );
         let load_secs = load_start.elapsed().as_secs_f64();
 
         // Recovery plumbing: the shared snapshot store, seeded with one
@@ -1655,74 +1341,57 @@ impl IngestEngine for PipelinedEngine {
         // the run clears snapshots a previous run left behind (it recovers
         // only from its own checkpoints, and the old files may describe a
         // different topology).
-        let store: Option<Arc<dyn CheckpointStorage>> =
-            recovery
-                .as_ref()
-                .map(|_| match &self.config.checkpoint_dir {
-                    Some(dir) => match FileCheckpointStore::open(dir) {
-                        Ok(files) => {
-                            let files: Arc<dyn CheckpointStorage> = Arc::new(files);
-                            files.resize(0);
-                            files.resize(shards);
-                            files
-                        }
-                        Err(err) => {
-                            eprintln!(
-                                "checkpoint dir {} unusable ({err}); using the in-process store",
-                                dir.display()
-                            );
-                            Arc::new(CheckpointStore::new(shards))
-                        }
-                    },
-                    None => Arc::new(CheckpointStore::new(shards)),
-                });
-        let mut agg = RecoveryStats::default();
-        if let Some(store) = &store {
-            for (shard, (part, evaluator)) in parts.iter().zip(&evaluators).enumerate() {
-                let bytes = ShardCheckpoint::encode_parts(0, part, evaluator.candidates());
-                agg.checkpoints += 1;
-                agg.checkpoint_bytes += bytes.len() as u64;
-                store.publish(shard, 0, bytes);
+        let checkpoints: Option<CheckpointSink> = recovery.as_ref().map(|recovery| {
+            let dir = self.config.checkpoint_dir.as_ref();
+            let files = dir.and_then(|dir| match FileCheckpointStore::open(dir) {
+                Ok(files) => {
+                    files.resize(0);
+                    files.resize(shards);
+                    Some(Arc::new(files) as Arc<dyn CheckpointStorage>)
+                }
+                Err(err) => {
+                    let dir = dir.display();
+                    eprintln!("checkpoint dir {dir} unusable ({err}); using the in-process store");
+                    None
+                }
+            });
+            CheckpointSink {
+                every: recovery.checkpoint_every.max(1),
+                store: files.unwrap_or_else(|| Arc::new(CheckpointStore::new(shards))),
             }
-        }
-        let mirrors: Vec<Option<SocialNetwork>> = if recovery.is_some() {
-            parts.into_iter().map(Some).collect()
-        } else {
-            vec![None; shards]
-        };
+        });
+        let lanes: Vec<Lane> = lanes
+            .into_iter()
+            .enumerate()
+            .map(|(shard, lane)| {
+                let mut lane = lane.publishing(shard, checkpoints.clone());
+                lane.publish();
+                lane
+            })
+            .collect();
 
-        // Serving: publish the epoch-1 initial view on this thread (the
-        // evaluators and seeded merger are still here), then hand the
-        // builder/publisher to the merge stage together with the route →
-        // merge batch side channel. Both exist only when serving is armed,
+        // Serving: publish the epoch-1 initial view on this thread (the lanes
+        // and seeded merger are still here), then hand the sink to the merge
+        // stage together with the route → merge batch side channel. Both exist only when serving is armed,
         // so unarmed runs execute the exact synchronization-op sequence the
         // model-check schedules were built against.
-        let serve_armed = self.serving.take().map(|(mut builder, mut publisher)| {
-            builder.observe_initial(initial);
-            let snapshot = CandidateSnapshot {
-                top: merger.current().to_vec(),
-                candidates: evaluators
-                    .iter()
-                    .flat_map(|e| e.candidates().iter().copied())
-                    .collect(),
-            };
-            publisher.publish(builder.build(None, &snapshot, &initial_result));
-            (builder, publisher)
-        });
-        let (batch_tx, serve_state) = match serve_armed {
-            Some((builder, publisher)) => {
+        let (batch_tx, serve_state) = match self.serving.take() {
+            Some(mut sink) => {
+                let snapshot = CandidateSnapshot {
+                    top: merger.current().to_vec(),
+                    candidates: candidate_union(&lanes),
+                };
+                sink.publish(
+                    None,
+                    |b| b.observe_initial(initial),
+                    &snapshot,
+                    &initial_result,
+                );
                 // Unbounded by design: the sender never blocks (no new
                 // deadlock edge in the stage graph), and the buffered depth
                 // is bounded by the pipeline's own queue depths.
-                let (tx, rx) = channel::<(u64, ChangeSet)>();
-                (
-                    Some(tx),
-                    Some(ServeMergeState {
-                        builder,
-                        publisher,
-                        changes_rx: rx,
-                    }),
-                )
+                let (changes_tx, changes_rx) = channel::<(u64, ChangeSet)>();
+                (Some(changes_tx), Some(ServeMergeState { sink, changes_rx }))
             }
             None => (None, None),
         };
@@ -1732,7 +1401,7 @@ impl IngestEngine for PipelinedEngine {
         // wedge a replaying supervisor against a merger blocked on a shard
         // that is mid-restore, and a dead worker must not close the merger's
         // input while a replacement is still coming.
-        let (ingest_tx, ingest_rx) = sync_channel::<IngestItem>(depth);
+        let (ingest_tx, ingest_rx) = sync_channel::<LogEntry>(depth);
         let (out_tx, out_rx) = sync_channel::<MergeItem>(depth * shards);
         let (status_tx, status_rx) = channel::<WorkerExit>();
 
@@ -1740,7 +1409,7 @@ impl IngestEngine for PipelinedEngine {
         let mut ingest_backpressure = 0u64;
         let mut ingested = 0usize;
 
-        let (merged, route_out) = {
+        let (merged, mut stats, applied_operations) = {
             // Stage 4: watermark merge.
             let merge_handle =
                 thread::spawn(move || Self::merge_stage(merger, out_rx, shards, serve_state));
@@ -1759,32 +1428,22 @@ impl IngestEngine for PipelinedEngine {
                 let shared = WorkerShared {
                     factory,
                     delays: delays.clone(),
-                    checkpoint_every: recovery.as_ref().map(|r| r.checkpoint_every.max(1)),
-                    store: store.clone(),
+                    checkpoints,
                     out_tx: out_tx.clone(),
                     status_tx: status_tx.clone(),
                 };
-                let mut fleet = WorkerFleet::new(shared, depth, shards, &kill_shards, agg);
+                let mut fleet = WorkerFleet::new(shared, depth, shards, &kill_shards);
 
-                // Stage 3: one apply worker per shard; the evaluator (and
-                // under recovery, its mirror sub-network) moves in.
-                for (shard, (evaluator, mirror)) in evaluators.into_iter().zip(mirrors).enumerate()
-                {
-                    fleet.spawn(
-                        shard,
-                        WorkerSeed::Fresh {
-                            evaluator,
-                            mirror,
-                            applied_through: 0,
-                        },
-                    );
+                // Stage 3: one apply worker per shard; its lane moves in.
+                for (shard, lane) in lanes.into_iter().enumerate() {
+                    fleet.spawn(shard, WorkerSeed::Fresh(lane));
                 }
 
                 let mut total_routed = 0u64;
-                'route: for IngestItem {
+                'route: for LogEntry {
                     seq,
                     enqueued,
-                    batch,
+                    ops: batch,
                 } in ingest_rx
                 {
                     // Reshard barriers fire right before their batch is
@@ -1795,12 +1454,13 @@ impl IngestEngine for PipelinedEngine {
                         let (at, new_count) =
                             reshard_plan.pop_front().expect("front() was just Some"); // lint: allow(panic) — guarded by the loop condition
                         accumulate_router_stats(&mut router_stats, router.stats());
-                        let (new_router, event) = fleet.reshard(at, new_count, router, &status_rx);
+                        let (new_router, event) =
+                            fleet.reshard(at, new_count.max(1), router, &status_rx);
                         router = new_router;
                         reshard_events.push(event);
                     }
                     if let Some(d) = &delays {
-                        d.sleep_route(seq);
+                        d.sleep(1, 0, seq, d.max_route_micros);
                     }
                     let batch = if coalesce_on { coalesce(&batch) } else { batch };
                     if let Some(tx) = &batch_tx {
@@ -1815,40 +1475,33 @@ impl IngestEngine for PipelinedEngine {
                     // Every shard receives an item for every seq (possibly
                     // empty), which is what keeps the merger's watermark a
                     // plain per-shard counter.
-                    let routed = router.route(&batch);
-                    if fleet.shared.store.is_some() {
+                    let routed: Vec<LogEntry> = router
+                        .route(&batch)
+                        .into_iter()
+                        .map(|ops| LogEntry { seq, enqueued, ops })
+                        .collect();
+                    if let Some(sink) = &fleet.shared.checkpoints {
                         // Log before sending, so the entry exists even when
                         // the send discovers a dead worker; prune below the
                         // latest published checkpoint to keep the log bounded
                         // by the checkpoint interval plus queue lag.
-                        for (shard, ops) in routed.iter().enumerate() {
-                            // lint: allow(index) — shard enumerates the routed slices over 0..shards
-                            fleet.logs[shard].append(LogEntry {
-                                seq,
-                                enqueued,
-                                ops: ops.clone(),
-                            });
-                            let published = fleet
-                                .shared
-                                .store
-                                .as_ref()
-                                .and_then(|store| store.applied_through(shard));
-                            if let Some(at) = published {
-                                fleet.logs[shard].prune_through(at); // lint: allow(index) — shard < shards as above
+                        for (log, (shard, entry)) in
+                            fleet.logs.iter_mut().zip(routed.iter().enumerate())
+                        {
+                            log.append(entry.clone());
+                            if let Some(at) = sink.store.applied_through(shard) {
+                                log.prune_through(at);
                             }
                         }
                     }
-                    for (shard, ops) in routed.into_iter().enumerate() {
-                        if send_counting(
-                            &fleet.txs[shard], // lint: allow(index) — shard < shards as above
-                            RoutedItem::Batch { seq, enqueued, ops },
-                            &mut route_blocked,
-                        ) {
+                    for (shard, entry) in routed.into_iter().enumerate() {
+                        // lint: allow(index) — shard enumerates the routed slices over 0..shards
+                        if send_counting(&fleet.txs[shard], entry, &mut route_blocked) {
                             continue;
                         }
                         // The send failed: this shard's current generation
                         // died (its queue disconnected).
-                        if recovery.is_none() {
+                        if fleet.shared.checkpoints.is_none() {
                             break 'route; // tear down → TruncatedRun
                         }
                         let started = Instant::now();
@@ -1857,18 +1510,10 @@ impl IngestEngine for PipelinedEngine {
                         // the fleet absorbs any other shard's exits that
                         // arrive first.
                         fleet.await_generation(shard, &status_rx);
-                        let (at, snapshot) = fleet
-                            .shared
-                            .store
-                            .as_ref()
-                            .expect("recovery implies a store") // lint: allow(panic) — this branch is only reached when recovery is configured
-                            .load(shard)
-                            .expect("initial checkpoints are published at load"); // lint: allow(panic) — load publishes an initial checkpoint for every shard before workers start
-                                                                                  // Replay everything since the snapshot through the
-                                                                                  // current batch (inclusive — its send just failed, so
-                                                                                  // the backlog is the only copy the shard will get).
-                        let backlog: Vec<LogEntry> =
-                            fleet.logs[shard].replay_range(at, seq).cloned().collect(); // lint: allow(index) — shard < shards as above
+                        // Replay everything since the snapshot through the
+                        // current batch (inclusive — its send just failed, so
+                        // the backlog is the only copy the shard will get).
+                        let (snapshot, backlog) = fleet.restore_point(shard, seq + 1);
                         router.record_restore(shard, shard);
                         fleet.spawn(
                             shard,
@@ -1883,40 +1528,33 @@ impl IngestEngine for PipelinedEngine {
                 }
 
                 // End of stream: close every route queue, absorb every
-                // generation's terminal status, join the workers.
+                // generation's terminal status, join the workers; then settle
+                // each shard (a generation that died at the final batch is
+                // restored and replayed through it here).
                 fleet.drain(&status_rx);
-                // Catch-up recovery: a generation that died with no subsequent
-                // batch to trip a failed send (killed at the final batch, or
-                // while replaying at stream end) is only visible here. Replay
-                // the log on this thread; the merger deduplicates whatever the
-                // dead generation already delivered.
-                for shard in 0..fleet.shards {
-                    let exit = fleet.latest_exit[shard] // lint: allow(index) — shard enumerates 0..shards
-                        .take()
-                        .expect("every shard spawned at least one generation"); // lint: allow(panic) — every shard spawns a generation before this sweep runs
-                    if exit.completed || recovery.is_none() {
-                        fleet.sizes[shard] = exit.sizes; // lint: allow(index) — shard enumerates 0..shards
-                        continue;
-                    }
-                    fleet.catch_up(shard, total_routed, None, &mut router);
-                }
+                let shard_sizes = (0..fleet.shards)
+                    .map(|shard| {
+                        let lane = fleet.settle(shard, total_routed, &mut router).lane;
+                        lane.map_or((0, 0), |lane| lane.owned_sizes())
+                    })
+                    .collect();
                 accumulate_router_stats(&mut router_stats, router.stats());
-                let final_shards = fleet.shards;
-                let shard_sizes = std::mem::take(&mut fleet.sizes);
-                let apply_backpressure = fleet.apply_backpressure;
-                let agg = fleet.agg;
+                // The supervisor's share of the statistics; the ingest and
+                // merge stages fill in theirs when they return.
+                let stats = PipelineStats {
+                    queue_depth: depth,
+                    shards: fleet.shards,
+                    route_backpressure: route_blocked,
+                    apply_backpressure: fleet.apply_backpressure,
+                    shard_sizes,
+                    router: router_stats,
+                    recovery: fleet.shared.checkpoints.is_some().then_some(fleet.agg),
+                    reshards: reshard_events,
+                    ..PipelineStats::default()
+                };
                 drop(fleet); // with it the last out_tx clone — the merge stage drains and returns
                 drop(out_tx);
-                RouteOutcome {
-                    router_stats,
-                    applied_operations: applied,
-                    route_backpressure: route_blocked,
-                    apply_backpressure,
-                    shard_sizes,
-                    final_shards,
-                    recovery: recovery.map(|_| agg),
-                    reshards: reshard_events,
-                }
+                (stats, applied)
             });
 
             // Stage 1 (this thread): ingest — pull, stamp seq, enqueue.
@@ -1926,10 +1564,10 @@ impl IngestEngine for PipelinedEngine {
                 }
                 let delivered = send_counting(
                     &ingest_tx,
-                    IngestItem {
+                    LogEntry {
                         seq: item.seq,
                         enqueued: Instant::now(),
-                        batch: item.batch,
+                        ops: item.batch,
                     },
                     &mut ingest_backpressure,
                 );
@@ -1940,9 +1578,9 @@ impl IngestEngine for PipelinedEngine {
             }
             drop(ingest_tx); // close the pipe; stages drain and exit in turn
 
-            let route_out = route_handle.join().expect("route stage panicked"); // lint: allow(panic) — a panicked stage must propagate: the run has no meaningful report
+            let (stats, applied) = route_handle.join().expect("route stage panicked"); // lint: allow(panic) — a panicked stage must propagate: the run has no meaningful report
             let (merged, _merger) = merge_handle.join().expect("merge stage panicked"); // lint: allow(panic) — a panicked stage must propagate: the run has no meaningful report
-            (merged, route_out)
+            (merged, stats, applied)
         };
 
         // A merged count short of the ingested count means a stage died mid-run
@@ -1958,7 +1596,7 @@ impl IngestEngine for PipelinedEngine {
         // Assemble the report from the merged timeline.
         let measured = merged.results.len().saturating_sub(warmup);
         let results: Vec<String> = merged.results.iter().skip(warmup).cloned().collect();
-        let mut latencies: Vec<f64> = (warmup..merged.results.len())
+        let latencies: Vec<f64> = (warmup..merged.results.len())
             .map(|i| (merged.completed[i] - merged.enqueued[i]).as_secs_f64()) // lint: allow(index) — i ranges over the measured window, bounds-checked when the window was cut
             .collect();
         // Wall-clock of the measured window: from "warm-up results done" (or
@@ -1974,41 +1612,21 @@ impl IngestEngine for PipelinedEngine {
             }
             _ => 0.0,
         };
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite")); // lint: allow(panic) — latencies are Duration-derived seconds, never NaN
-        let stream_report = StreamReport {
-            solution: self.name(),
-            batches: measured,
-            total_operations,
-            applied_operations: route_out.applied_operations,
+        let stream_report = StreamReport::from_latencies(
+            self.name(),
+            latencies,
             elapsed_secs,
-            updates_per_sec: if elapsed_secs > 0.0 {
-                total_operations as f64 / elapsed_secs
-            } else {
-                0.0
-            },
-            p50_latency_secs: percentile(&latencies, 50.0),
-            p90_latency_secs: percentile(&latencies, 90.0),
-            p99_latency_secs: percentile(&latencies, 99.0),
-            max_latency_secs: latencies.last().copied().unwrap_or(0.0),
+            total_operations,
+            applied_operations,
             load_secs,
             // the stream may end inside the warm-up window: those batches were
             // still applied, so the last *merged* result (not the pre-stream
             // initial one) is the true end state — matching SyncEngine
-            final_result: merged.results.last().cloned().unwrap_or(initial_result),
-        };
-        let stats = PipelineStats {
-            queue_depth: depth,
-            shards: route_out.final_shards,
-            ingest_backpressure,
-            route_backpressure: route_out.route_backpressure,
-            apply_backpressure: route_out.apply_backpressure,
-            max_watermark_lag: merged.max_watermark_lag,
-            per_shard_apply_latencies: merged.per_shard_apply,
-            shard_sizes: route_out.shard_sizes,
-            router: route_out.router_stats,
-            recovery: route_out.recovery,
-            reshards: route_out.reshards,
-        };
+            merged.results.last().cloned().unwrap_or(initial_result),
+        );
+        stats.ingest_backpressure = ingest_backpressure;
+        stats.max_watermark_lag = merged.max_watermark_lag;
+        stats.per_shard_apply_latencies = merged.per_shard_apply;
         Ok(EngineReport {
             stream: stream_report,
             results,
@@ -2021,7 +1639,7 @@ impl IngestEngine for PipelinedEngine {
 mod tests {
     use super::*;
     use crate::model::Query;
-    use crate::shard::{GraphBlasShardFactory, ShardBackend, ShardedSolution};
+    use crate::shard::{GraphBlasShardFactory, ShardBackend, ShardEvaluator, ShardedSolution};
     use datagen::stream::{StreamConfig, UpdateStream};
     use datagen::{generate_workload, GeneratorConfig};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -2749,6 +2367,47 @@ mod tests {
         );
         assert_eq!(recovery.crashes, 1, "{recovery:?}");
         assert_eq!(stats.reshards.len(), 1);
+    }
+
+    #[test]
+    fn cleanly_drained_lanes_cross_a_barrier_by_value() {
+        // with the checkpoint cadence beyond the stream, the only publishes of
+        // a kill-free 2 → 4 reshard are the load-time ones (2) and the new
+        // topology's (4): a cleanly drained lane is handed back in its exit
+        // and merged as it is, with no closing checkpoint to encode and decode
+        let network = network(91);
+        let batches = batches(&network, 0x2e5a, 10);
+        let expected = run_pipelined(&network, &batches, 2, PipelineConfig::default());
+        let run = |kill_shards| {
+            let config = PipelineConfig {
+                kill_shards,
+                recovery: recovery_config(1000),
+                reshards: vec![(5, 4)],
+                ..PipelineConfig::default()
+            };
+            let got = run_pipelined(&network, &batches, 2, config);
+            assert_eq!(got.results, expected.results);
+            let stats = got.pipeline.expect("pipelined engines report stats");
+            stats.recovery.expect("recovery was enabled")
+        };
+        let recovery = run(vec![]);
+        assert_eq!(recovery.checkpoints, 2 + 4, "{recovery:?}");
+        assert_eq!(
+            (recovery.crashes, recovery.restores),
+            (0, 0),
+            "{recovery:?}"
+        );
+        // shard 1 dies on the last batch before the barrier: its send already
+        // succeeded, so the crash surfaces in the drain and that lane alone
+        // comes back through checkpoint + log, still landing exactly on `at`
+        let recovery = run(vec![(1, 4)]);
+        assert_eq!(
+            (recovery.crashes, recovery.restores),
+            (1, 1),
+            "{recovery:?}"
+        );
+        assert_eq!(recovery.replayed_batches, 5, "batches 0..=4: {recovery:?}");
+        assert_eq!(recovery.checkpoints, 2 + 4, "{recovery:?}");
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! codebase already maintains:
 //!
 //! * **Checkpoints** ([`ShardCheckpoint`]): every [`RecoveryConfig::checkpoint_every`]
-//!   applied batches, a shard serialises its mirror [`SocialNetwork`] — the
-//!   same replayable per-shard state the rebalancer keeps (DESIGN.md §5.6) —
-//!   plus its current candidate list, tagged with `applied_through` (the number
+//!   applied batches, a shard's [`Lane`](crate::lane::Lane) serialises its
+//!   mirror [`SocialNetwork`] — the same replayable per-shard state the
+//!   rebalancer shrinks and rebuilds from (DESIGN.md §5.9) — plus its current
+//!   candidate list, tagged with `applied_through` (the number
 //!   of batches folded in, i.e. the next sequence number the shard expects).
 //!   The codec is a deterministic little-endian binary format with a trailing
 //!   checksum: the same state always encodes to the same bytes, and a
@@ -21,11 +22,12 @@
 //!   ingest), so the log is a plain append-only queue, pruned below the latest
 //!   checkpoint's `applied_through` — its length is bounded by the checkpoint
 //!   interval plus the pipeline's queue lag.
-//! * **Restore**: build a fresh evaluator from the checkpointed network via the
-//!   run's [`ShardFactory`](crate::shard::ShardFactory) — evaluator state is a
+//! * **Restore** ([`Lane::restore`](crate::lane::Lane::restore)): build a
+//!   fresh evaluator from the checkpointed network via the run's
+//!   [`ShardFactory`](crate::shard::ShardFactory) — evaluator state is a
 //!   deterministic function of the sub-network, the same property the
 //!   rebalancer's donor rebuild leans on — then replay the log through the
-//!   ordinary apply path. The replayed outcomes are byte-identical to the ones
+//!   ordinary [`Lane::step`](crate::lane::Lane::step) path. The replayed outcomes are byte-identical to the ones
 //!   the dead worker would have produced, which is what lets the replacement
 //!   rejoin the watermark merge with no visible gap
 //!   (`tests/recovery_differential.rs` proves per-batch byte-identity under
@@ -248,9 +250,9 @@ impl ShardCheckpoint {
         Self::encode_parts(self.applied_through, &self.network, &self.candidates)
     }
 
-    /// [`ShardCheckpoint::encode`] over borrowed parts — what a live shard
-    /// worker calls at a checkpoint boundary, so publishing never clones the
-    /// mirror network.
+    /// [`ShardCheckpoint::encode`] over borrowed parts — what
+    /// [`Lane::checkpoint`](crate::lane::Lane::checkpoint) calls, so
+    /// publishing never clones the mirror network.
     pub fn encode_parts(
         applied_through: u64,
         network: &SocialNetwork,
@@ -301,10 +303,10 @@ impl ShardCheckpoint {
         buf
     }
 
-    /// Decode a snapshot produced by [`ShardCheckpoint::encode`]. Never
-    /// panics: truncation, corruption, and schema drift all surface as a
-    /// named [`CheckpointError`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
+    /// Verify a snapshot's seal and header — checksum, magic, version —
+    /// without parsing its sections: a reader positioned at the first
+    /// section, and the snapshot's `applied_through`.
+    fn open(bytes: &[u8]) -> Result<(Reader<'_>, u64), CheckpointError> {
         // The checksum guards everything else, so verify it first: a corrupted
         // length field must not be trusted even transiently.
         let body_len = bytes
@@ -336,6 +338,14 @@ impl ShardCheckpoint {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
         let applied_through = r.u64()?;
+        Ok((r, applied_through))
+    }
+
+    /// Decode a snapshot produced by [`ShardCheckpoint::encode`]. Never
+    /// panics: truncation, corruption, and schema drift all surface as a
+    /// named [`CheckpointError`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let (mut r, applied_through) = Self::open(bytes)?;
         let (count, cap) = r.count(16)?;
         let mut users = Vec::with_capacity(cap);
         for _ in 0..count {
@@ -531,56 +541,12 @@ impl CheckpointStore {
     /// write is a whole-slot replacement guarded by the monotone
     /// `applied_through` check, so the data is never left half-updated — and
     /// propagating the poison would cascade one shard's crash into failed
-    /// restores of *unrelated* shards (the bug fixed in this revision: the
-    /// old `.expect("checkpoint store poisoned")` here killed the supervisor
-    /// exactly when recovery was needed most).
+    /// restores of *unrelated* shards, exactly when recovery is needed most.
     fn slots(&self) -> MutexGuard<'_, Vec<Option<StoredCheckpoint>>> {
         match self.slots.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
-    }
-
-    /// Publish `bytes` as `shard`'s snapshot covering `applied_through`
-    /// batches. Stale publishes (older than what the slot already holds, e.g.
-    /// from a replay that re-crossed an old checkpoint boundary) are ignored —
-    /// the store is monotone per shard.
-    pub fn publish(&self, shard: usize, applied_through: u64, bytes: Vec<u8>) {
-        let mut slots = self.slots();
-        let slot = &mut slots[shard]; // lint: allow(index) — shard ids come from the supervisor, which sized the store over 0..shards
-        if slot
-            .as_ref()
-            .is_none_or(|stored| stored.applied_through <= applied_through)
-        {
-            *slot = Some(StoredCheckpoint {
-                applied_through,
-                bytes,
-            });
-        }
-    }
-
-    /// `applied_through` of `shard`'s latest snapshot, if one was published —
-    /// what the changeset log prunes against.
-    pub fn applied_through(&self, shard: usize) -> Option<u64> {
-        let slots = self.slots();
-        slots[shard].as_ref().map(|stored| stored.applied_through) // lint: allow(index) — shard < shards as above
-    }
-
-    /// Load `shard`'s latest snapshot as `(applied_through, bytes)`.
-    pub fn load(&self, shard: usize) -> Option<(u64, Vec<u8>)> {
-        let slots = self.slots();
-        slots[shard] // lint: allow(index) — shard < shards as above
-            .as_ref()
-            .map(|stored| (stored.applied_through, stored.bytes.clone()))
-    }
-
-    /// Adjust the slot count to a new topology (elastic reshard): slots for
-    /// shards that disappeared are dropped, new shards start empty. Surviving
-    /// slots keep their snapshots, which the monotone publish rule supersedes
-    /// as the post-reshard checkpoints land.
-    pub fn resize(&self, shards: usize) {
-        let mut slots = self.slots();
-        slots.resize_with(shards, || None);
     }
 }
 
@@ -600,7 +566,8 @@ pub trait CheckpointStorage: Send + Sync + fmt::Debug {
     /// (older than what is already stored) is ignored.
     fn publish(&self, shard: usize, applied_through: u64, bytes: Vec<u8>);
 
-    /// `applied_through` of `shard`'s latest verifiable snapshot, if any.
+    /// `applied_through` of `shard`'s latest verifiable snapshot, if any —
+    /// what the changeset log prunes against.
     fn applied_through(&self, shard: usize) -> Option<u64>;
 
     /// Load `shard`'s latest snapshot as `(applied_through, bytes)`. A
@@ -615,20 +582,39 @@ pub trait CheckpointStorage: Send + Sync + fmt::Debug {
 }
 
 impl CheckpointStorage for CheckpointStore {
+    /// Stale publishes come from a replay that re-crossed an old checkpoint
+    /// boundary.
     fn publish(&self, shard: usize, applied_through: u64, bytes: Vec<u8>) {
-        CheckpointStore::publish(self, shard, applied_through, bytes);
+        let mut slots = self.slots();
+        let slot = &mut slots[shard]; // lint: allow(index) — shard ids come from the supervisor, which sized the store over 0..shards
+        if slot
+            .as_ref()
+            .is_none_or(|stored| stored.applied_through <= applied_through)
+        {
+            *slot = Some(StoredCheckpoint {
+                applied_through,
+                bytes,
+            });
+        }
     }
 
     fn applied_through(&self, shard: usize) -> Option<u64> {
-        CheckpointStore::applied_through(self, shard)
+        let slots = self.slots();
+        slots[shard].as_ref().map(|stored| stored.applied_through) // lint: allow(index) — shard < shards as above
     }
 
     fn load(&self, shard: usize) -> Option<(u64, Vec<u8>)> {
-        CheckpointStore::load(self, shard)
+        let slots = self.slots();
+        slots[shard] // lint: allow(index) — shard < shards as above
+            .as_ref()
+            .map(|stored| (stored.applied_through, stored.bytes.clone()))
     }
 
+    /// Surviving slots keep their snapshots, which the monotone publish rule
+    /// supersedes as the post-reshard checkpoints land.
     fn resize(&self, shards: usize) {
-        CheckpointStore::resize(self, shards);
+        let mut slots = self.slots();
+        slots.resize_with(shards, || None);
     }
 }
 
@@ -657,29 +643,9 @@ impl FileCheckpointStore {
         self.dir.join(format!("shard-{shard}.ttck"))
     }
 
-    /// Checksum + header verification without decoding the body: returns the
-    /// snapshot's `applied_through` iff the bytes are a well-sealed TTCK
-    /// snapshot of a version this build understands.
-    fn verify(bytes: &[u8]) -> Option<u64> {
-        let body_len = bytes.len().checked_sub(8)?;
-        let (body, tail) = bytes.split_at(body_len);
-        let stored = u64::from_le_bytes(tail.try_into().ok()?);
-        if fnv1a(body) != stored {
-            return None;
-        }
-        if body.get(..MAGIC.len())? != MAGIC {
-            return None;
-        }
-        let version = u32::from_le_bytes(body.get(4..8)?.try_into().ok()?);
-        if version != VERSION {
-            return None;
-        }
-        Some(u64::from_le_bytes(body.get(8..16)?.try_into().ok()?))
-    }
-
     fn read_verified(&self, shard: usize) -> Option<(u64, Vec<u8>)> {
         let bytes = std::fs::read(self.path(shard)).ok()?;
-        let applied_through = Self::verify(&bytes)?;
+        let (_, applied_through) = ShardCheckpoint::open(&bytes).ok()?;
         Some((applied_through, bytes))
     }
 }

@@ -46,14 +46,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::time::Instant;
 
-use datagen::apply_changeset as apply_network_changeset;
 use datagen::partition::{ModuloPartitioner, Partitioner};
 use datagen::{ChangeOperation, ChangeSet, Comment, ElementId, SocialNetwork};
 use rayon::prelude::*;
 
 use crate::graph::SocialGraph;
+use crate::lane::{ApplyOutcome, Lane};
 use crate::model::Query;
 use crate::q1::batch::q1_batch_ranked;
 use crate::q1::incremental::Q1Incremental;
@@ -655,75 +654,42 @@ impl ShardMerger {
 // Sharded solution
 // ---------------------------------------------------------------------------
 
-/// The load phase both sharded engines share: partition `network` across
-/// `shards`, build one evaluator per shard (rayon-parallel), and fold the
-/// initial per-shard candidates through a fresh [`ShardMerger`]. Returns the
-/// router, the evaluators, the merger (already holding the initial global
-/// state), and the initial result.
+/// The load phase both sharded engines share: partition `network` under
+/// `partitioner`, build one [`Lane`] per shard sub-network (rayon-parallel),
+/// and fold the initial per-shard candidates through a fresh [`ShardMerger`].
+/// Returns the router, the lanes (positioned at sequence 0), the merger
+/// (already holding the initial global state), and the initial result.
 ///
 /// The synchronous [`ShardedSolution`] and the pipelined engine
 /// ([`crate::pipeline::PipelinedEngine`]) both start from this one function —
 /// the byte-identity the differential tests guarantee depends on the two
 /// engines never drifting apart in how they partition, build, or seed the
-/// merge state.
-pub fn load_shards(
-    factory: &dyn ShardFactory,
-    network: &SocialNetwork,
-    shards: usize,
-) -> (
-    ShardRouter,
-    Vec<Box<dyn ShardEvaluator>>,
-    ShardMerger,
-    String,
-) {
-    load_shards_with(factory, network, Box::new(ModuloPartitioner::new(shards)))
-}
-
-/// [`load_shards`] with an injected partition policy instead of the default
-/// modulo — the entry point both engines use when a `--partitioner` other than
-/// `mod` is selected.
-pub fn load_shards_with(
+/// merge state. With `keep_mirrors` the lanes keep the very sub-networks
+/// their evaluators were built from, for rebalancing, recovery and resharding.
+pub(crate) fn load_lanes(
     factory: &dyn ShardFactory,
     network: &SocialNetwork,
     partitioner: Box<dyn Partitioner>,
-) -> (
-    ShardRouter,
-    Vec<Box<dyn ShardEvaluator>>,
-    ShardMerger,
-    String,
-) {
-    let (router, _parts, evaluators, merger, initial) =
-        load_shards_parts(factory, network, partitioner);
-    (router, evaluators, merger, initial)
-}
-
-/// [`load_shards_with`], additionally returning the per-shard sub-networks the
-/// evaluators were built from — rebalancing-enabled solutions keep them as
-/// their mirrors instead of paying [`ShardRouter::split_initial`] twice, and
-/// the pipelined engine's recovery path seeds its initial per-shard
-/// checkpoints from them.
-pub(crate) fn load_shards_parts(
-    factory: &dyn ShardFactory,
-    network: &SocialNetwork,
-    partitioner: Box<dyn Partitioner>,
-) -> (
-    ShardRouter,
-    Vec<SocialNetwork>,
-    Vec<Box<dyn ShardEvaluator>>,
-    ShardMerger,
-    String,
-) {
+    keep_mirrors: bool,
+) -> (ShardRouter, Vec<Lane>, ShardMerger, String) {
     let router = ShardRouter::with_partitioner(network, partitioner);
-    let parts = router.split_initial(network);
-    let evaluators: Vec<Box<dyn ShardEvaluator>> =
-        parts.par_iter().map(|part| factory.build(part)).collect();
-    let mut merger = ShardMerger::new(TOP_K);
-    let union: Vec<RankedEntry> = evaluators
-        .iter()
-        .flat_map(|e| e.candidates().iter().copied())
+    let lanes: Vec<Lane> = router
+        .split_initial(network)
+        .into_par_iter()
+        .map(|part| Lane::from_mirror(factory, part, 0).keep_mirror(keep_mirrors))
         .collect();
-    let initial = merger.merge(union, true);
-    (router, parts, evaluators, merger, initial)
+    let mut merger = ShardMerger::new(TOP_K);
+    let initial = merger.merge(candidate_union(&lanes), true);
+    (router, lanes, merger, initial)
+}
+
+/// The union of the lanes' current candidate lists, in shard order — the
+/// cross-shard merge's input and the serve path's candidate pool.
+pub(crate) fn candidate_union(lanes: &[Lane]) -> Vec<RankedEntry> {
+    lanes
+        .iter()
+        .flat_map(|lane| lane.candidates().iter().copied())
+        .collect()
 }
 
 /// Configuration of the skew monitor behind [`ShardedSolution::with_rebalancing`].
@@ -816,10 +782,10 @@ impl std::error::Error for MigrateError {}
 /// counterpart that overlaps batches across the same pieces lives in
 /// [`crate::pipeline`]. See the [module documentation](self).
 ///
-/// With [`ShardedSolution::with_rebalancing`], the solution additionally
-/// maintains one mirror [`SocialNetwork`] per shard (the replayable source of
-/// truth for what each shard holds) and runs the skew monitor between batches;
-/// see [`ShardedSolution::migrate_tree`] for the migration protocol and
+/// With [`ShardedSolution::with_rebalancing`], the lanes additionally keep
+/// their mirrors (the replayable source of truth for what each shard holds —
+/// see [`crate::lane`]) and the skew monitor runs between batches; see
+/// [`ShardedSolution::migrate_tree`] for the migration protocol and
 /// `DESIGN.md` §5.6 for the correctness argument.
 pub struct ShardedSolution {
     factory: Box<dyn ShardFactory>,
@@ -828,21 +794,23 @@ pub struct ShardedSolution {
     /// loads never inherit a previous run's migration overrides.
     partitioner: Box<dyn Partitioner>,
     router: Option<ShardRouter>,
-    shards: Vec<Box<dyn ShardEvaluator>>,
+    /// One lane per shard; they keep mirrors exactly when rebalancing is on.
+    lanes: Vec<Lane>,
     merger: ShardMerger,
     /// Per-shard per-batch update latencies (seconds), recorded by
     /// [`Solution::update_and_reevaluate`] for the benchmark report.
     per_shard_latencies: Vec<Vec<f64>>,
     /// Rebalancing: skew-monitor configuration (`None` = disabled, no mirrors).
     rebalance: Option<RebalanceConfig>,
-    /// One mirror network per shard, maintained only when rebalancing is
-    /// enabled: the routed changesets are replayed onto plain [`SocialNetwork`]s
-    /// so a migration can extract a tree's full payload (timestamps, authors,
-    /// parents) and rebuild the donor — state no [`ShardEvaluator`] is required
-    /// to expose.
-    mirrors: Vec<SocialNetwork>,
     rebalance_stats: RebalanceStats,
     batches_since_check: usize,
+}
+
+/// A rebalancing lane's mirror: `load_and_initial` keeps the mirrors whenever
+/// rebalancing is configured (every caller checks that first) and nothing
+/// drops them afterwards.
+fn mirror_of(lane: &Lane) -> &SocialNetwork {
+    lane.mirror().expect("rebalancing lanes keep their mirrors") // lint: allow(panic) — see the doc comment
 }
 
 impl ShardedSolution {
@@ -872,11 +840,10 @@ impl ShardedSolution {
             shard_count,
             partitioner,
             router: None,
-            shards: Vec::new(),
+            lanes: Vec::new(),
             merger: ShardMerger::new(TOP_K),
             per_shard_latencies: Vec::new(),
             rebalance: None,
-            mirrors: Vec::new(),
             rebalance_stats: RebalanceStats::default(),
             batches_since_check: 0,
         }
@@ -916,16 +883,7 @@ impl ShardedSolution {
 
     /// Number of (posts, comments) owned by each shard, for balance inspection.
     pub fn shard_sizes(&self) -> Vec<(usize, usize)> {
-        self.shards.iter().map(|s| s.owned_sizes()).collect()
-    }
-
-    fn merge(&mut self, any_removals: bool) -> String {
-        let union: Vec<RankedEntry> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.candidates().iter().copied())
-            .collect();
-        self.merger.merge(union, any_removals)
+        self.lanes.iter().map(Lane::owned_sizes).collect()
     }
 
     /// Migrate the discussion tree rooted at post `root` to shard `to`:
@@ -937,9 +895,10 @@ impl ShardedSolution {
     ///    author's future assignment, and the presence-tracked backfill yields
     ///    the friendship **imports** the recipient needs for the tree's likers.
     /// 3. **Apply** imports + tree to the recipient as an initial-load delta
-    ///    (an ordinary insert-only changeset through [`ShardEvaluator::apply`]).
-    /// 4. **Rebuild** the donor evaluator from its shrunken mirror (the model
-    ///    has no post/comment retractions, so the donor cannot be delta-shrunk).
+    ///    (an ordinary insert-only changeset through `Lane::graft`).
+    /// 4. **Rebuild** the donor lane from its shrunken mirror via
+    ///    [`Lane::from_mirror`] (the model has no post/comment retractions, so
+    ///    the donor cannot be delta-shrunk).
     ///
     /// The migration is invisible to the merged output: every submission keeps
     /// its exact score, it is merely computed on a different shard from the
@@ -966,7 +925,7 @@ impl ShardedSolution {
         // 1. extract the tree from the donor mirror (order-preserving, so the
         //    recipient replays comments parent-before-child and likes after
         //    their comments, exactly as the original stream delivered them)
-        let donor_mirror = &self.mirrors[donor];
+        let donor_mirror = mirror_of(&self.lanes[donor]);
         let post = donor_mirror
             .posts
             .iter()
@@ -1012,18 +971,23 @@ impl ShardedSolution {
         );
         let delta = ChangeSet { operations };
 
-        // 4. shrink the donor mirror, grow the recipient mirror, and swap the
-        //    evaluators' state to match: recipient applies the delta
-        //    incrementally, the donor is rebuilt from its remaining sub-network
-        let donor_mirror = &mut self.mirrors[donor];
-        donor_mirror.posts.retain(|p| p.id != root);
-        donor_mirror.comments.retain(|c| c.root_post != root);
-        donor_mirror
+        // 4. the recipient lane applies the delta incrementally (evaluator
+        //    and mirror together); the donor lane is rebuilt from its mirror
+        //    minus the tree
+        self.lanes[to].graft(&delta);
+        let mut shrunk = self.lanes.remove(donor).into_checkpoint();
+        shrunk.network.posts.retain(|p| p.id != root);
+        shrunk.network.comments.retain(|c| c.root_post != root);
+        shrunk
+            .network
             .likes
             .retain(|(_, comment)| !comment_ids.contains(comment));
-        apply_network_changeset(&mut self.mirrors[to], &delta);
-        self.shards[to].apply(&delta);
-        self.shards[donor] = self.factory.build(&self.mirrors[donor]);
+        let rebuilt = Lane::from_mirror(
+            self.factory.as_ref(),
+            shrunk.network,
+            shrunk.applied_through,
+        );
+        self.lanes.insert(donor, rebuilt);
 
         self.rebalance_stats.migrations += 1;
         self.rebalance_stats.migrated_comments += comments.len() as u64;
@@ -1052,8 +1016,9 @@ impl ShardedSolution {
         self.rebalance_stats.checks += 1;
         for _ in 0..config.max_migrations_per_check.max(1) {
             let loads: Vec<usize> = self
-                .mirrors
+                .lanes
                 .iter()
+                .map(mirror_of)
                 .map(|m| m.posts.len() + m.comments.len())
                 .collect();
             let donor = (0..loads.len())
@@ -1070,10 +1035,11 @@ impl ShardedSolution {
             // largest donor tree with load < gap (ties resolve deterministically
             // to the last such post in mirror order)
             let mut comments_per_root: HashMap<ElementId, usize> = HashMap::new();
-            for comment in &self.mirrors[donor].comments {
+            let donor_mirror = mirror_of(&self.lanes[donor]);
+            for comment in &donor_mirror.comments {
                 *comments_per_root.entry(comment.root_post).or_insert(0) += 1;
             }
-            let candidate = self.mirrors[donor]
+            let candidate = donor_mirror
                 .posts
                 .iter()
                 .map(|p| (p.id, 1 + comments_per_root.get(&p.id).copied().unwrap_or(0)))
@@ -1107,17 +1073,14 @@ impl Solution for ShardedSolution {
     }
 
     fn load_and_initial(&mut self, network: &SocialNetwork) -> String {
-        let (router, parts, shards, merger, initial) =
-            load_shards_parts(self.factory.as_ref(), network, self.partitioner.clone());
-        // the mirrors start as the very sub-networks the evaluators were built
-        // from — no second split, no chance of divergence
-        self.mirrors = if self.rebalance.is_some() {
-            parts
-        } else {
-            Vec::new()
-        };
+        let (router, lanes, merger, initial) = load_lanes(
+            self.factory.as_ref(),
+            network,
+            self.partitioner.clone(),
+            self.rebalance.is_some(),
+        );
         self.router = Some(router);
-        self.shards = shards;
+        self.lanes = lanes;
         self.merger = merger;
         self.per_shard_latencies = vec![Vec::new(); self.shard_count];
         self.rebalance_stats = RebalanceStats::default();
@@ -1131,29 +1094,21 @@ impl Solution for ShardedSolution {
             .as_mut()
             .expect("load_and_initial must run before updates"); // lint: allow(panic) — update_and_reevaluate follows load_and_initial per the Solution contract
         let routed = router.route(changeset);
-        if self.rebalance.is_some() {
-            // keep the per-shard mirrors replaying exactly what the evaluators
-            // see (imports included), so a migration can extract any tree later
-            for (mirror, ops) in self.mirrors.iter_mut().zip(&routed) {
-                apply_network_changeset(mirror, ops);
-            }
-        }
-        let tasks: Vec<(&mut Box<dyn ShardEvaluator>, ChangeSet)> =
-            self.shards.iter_mut().zip(routed).collect();
-        let outcomes: Vec<(bool, f64)> = tasks
+        // each lane steps its slice (mirror upkeep included, when it keeps
+        // one: imports and all, so a migration can extract any tree later)
+        let tasks: Vec<(&mut Lane, ChangeSet)> = self.lanes.iter_mut().zip(routed).collect();
+        let outcomes: Vec<ApplyOutcome> = tasks
             .into_par_iter()
-            .map(|(shard, ops)| {
-                let start = Instant::now();
-                let had_removals = shard.apply(&ops);
-                (had_removals, start.elapsed().as_secs_f64())
-            })
+            .map(|(lane, ops)| lane.step(lane.applied_through(), &ops))
             .collect();
         let mut any_removals = false;
-        for (shard, &(had_removals, secs)) in outcomes.iter().enumerate() {
-            any_removals |= had_removals;
-            self.per_shard_latencies[shard].push(secs);
+        let mut union = Vec::new();
+        for (shard, outcome) in outcomes.into_iter().enumerate() {
+            any_removals |= outcome.had_removals;
+            self.per_shard_latencies[shard].push(outcome.apply_secs);
+            union.extend(outcome.candidates);
         }
-        let result = self.merge(any_removals);
+        let result = self.merger.merge(union, any_removals);
         // rebalancing runs strictly between batches: the result above is already
         // merged, and the next batch sees the (possibly migrated) new ownership
         self.maybe_rebalance();
@@ -1161,14 +1116,9 @@ impl Solution for ShardedSolution {
     }
 
     fn candidate_snapshot(&self) -> Option<crate::serve::CandidateSnapshot> {
-        let candidates: Vec<RankedEntry> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.candidates().iter().copied())
-            .collect();
         Some(crate::serve::CandidateSnapshot {
             top: self.merger.current().to_vec(),
-            candidates,
+            candidates: candidate_union(&self.lanes),
         })
     }
 }

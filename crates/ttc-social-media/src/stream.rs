@@ -136,75 +136,40 @@ pub struct StreamReport {
     pub final_result: String,
 }
 
-/// Escape a string into a JSON string literal (RFC 8259: `"`, `\` and control
-/// characters). `format!("{value:?}")` is *not* a substitute — Rust's `Debug`
-/// renders control and non-ASCII characters as `\u{…}`, which no JSON parser
-/// accepts, so reports containing such a solution name or result would poison
-/// the bench gate's diffing.
-fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render a float as a JSON number at full precision — the same rule
-/// `bench::report` inherits from `serde_json`'s `Number` (Rust's shortest
-/// round-trippable `Display`), with non-finite values as `null`. Fixed-width
-/// `{:.6}` formatting is *not* a substitute: sub-microsecond latencies — the
-/// normal p50 regime of the incremental backends on small batches — all
-/// serialized as `0.000000`, erasing the very signal the latency fields exist
-/// to carry.
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string() // JSON has no NaN/Inf
-    }
-}
-
 impl StreamReport {
-    /// Render the report as a single JSON object.
-    ///
-    /// The field order is stable (the declaration order below, never
-    /// alphabetised), strings are escaped per RFC 8259, and floats carry full
-    /// precision, so the bench gate can parse reports back and diff them across
-    /// runs byte-reliably.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"solution\":{},\"batches\":{},\"total_operations\":{},",
-                "\"applied_operations\":{},\"elapsed_secs\":{},",
-                "\"updates_per_sec\":{},\"p50_latency_secs\":{},",
-                "\"p90_latency_secs\":{},\"p99_latency_secs\":{},",
-                "\"max_latency_secs\":{},\"load_secs\":{},\"final_result\":{}}}"
-            ),
-            json_string(&self.solution),
-            self.batches,
-            self.total_operations,
-            self.applied_operations,
-            json_f64(self.elapsed_secs),
-            json_f64(self.updates_per_sec),
-            json_f64(self.p50_latency_secs),
-            json_f64(self.p90_latency_secs),
-            json_f64(self.p99_latency_secs),
-            json_f64(self.max_latency_secs),
-            json_f64(self.load_secs),
-            json_string(&self.final_result),
-        )
+    /// Assemble a report from the per-batch latencies of the measured window
+    /// (in any order) — the one place the percentile and throughput fields
+    /// are derived, for both engines. `elapsed_secs` is the engine's own
+    /// notion of the window: summed service time for the synchronous driver,
+    /// wall clock for the pipelined engine, whose batches overlap.
+    pub(crate) fn from_latencies(
+        solution: String,
+        mut latencies: Vec<f64>,
+        elapsed_secs: f64,
+        total_operations: usize,
+        applied_operations: usize,
+        load_secs: f64,
+        final_result: String,
+    ) -> Self {
+        latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite")); // lint: allow(panic) — latencies are Duration-derived seconds, never NaN
+        StreamReport {
+            solution,
+            batches: latencies.len(),
+            total_operations,
+            applied_operations,
+            elapsed_secs,
+            updates_per_sec: if elapsed_secs > 0.0 {
+                total_operations as f64 / elapsed_secs
+            } else {
+                0.0
+            },
+            p50_latency_secs: percentile(&latencies, 50.0),
+            p90_latency_secs: percentile(&latencies, 90.0),
+            p99_latency_secs: percentile(&latencies, 99.0),
+            max_latency_secs: latencies.last().copied().unwrap_or(0.0),
+            load_secs,
+            final_result,
+        }
     }
 }
 
@@ -213,11 +178,6 @@ impl StreamReport {
 /// definition every latency figure in this workspace uses ([`StreamReport`]
 /// and the per-shard blocks of `stream_throughput --shards`), so merged and
 /// per-shard percentiles stay comparable.
-///
-/// The previous implementation rounded on a `(len − 1)` scale, which is
-/// neither nearest-rank nor linear interpolation: `percentile(&[1,2,3,4],
-/// 50.0)` returned `3.0`, biasing every even-length p50/p90 upward by up to
-/// one rank.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -235,31 +195,22 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// coalesced changeset that was applied, the rendered result, and the
 /// solution (for [`Solution::candidate_snapshot`]). Timing is captured
 /// *before* the observer runs, so observation cost never pollutes the
-/// latency percentiles.
+/// latency percentiles. Both callbacks default to doing nothing.
+#[allow(unused_variables)]
 pub trait RunObserver {
     /// The initial network was loaded and evaluated to `result`.
-    fn loaded(&mut self, initial: &SocialNetwork, result: &str, solution: &dyn Solution);
+    fn loaded(&mut self, initial: &SocialNetwork, result: &str, solution: &dyn Solution) {}
 
     /// Batch `seq` (0-based, counting warm-up batches too) was applied and
     /// re-evaluated to `result`. `changes` is the changeset exactly as the
     /// solution saw it (coalesced if the driver coalesces).
-    fn applied(&mut self, seq: u64, changes: &ChangeSet, result: &str, solution: &dyn Solution);
+    fn applied(&mut self, seq: u64, changes: &ChangeSet, result: &str, solution: &dyn Solution) {}
 }
 
 /// Observer that ignores every event — the default for unobserved runs.
 struct NoopObserver;
 
-impl RunObserver for NoopObserver {
-    fn loaded(&mut self, _initial: &SocialNetwork, _result: &str, _solution: &dyn Solution) {}
-    fn applied(
-        &mut self,
-        _seq: u64,
-        _changes: &ChangeSet,
-        _result: &str,
-        _solution: &dyn Solution,
-    ) {
-    }
-}
+impl RunObserver for NoopObserver {}
 
 /// Drives micro-batches from an update stream through a [`Solution`], measuring
 /// per-batch latency. See the [module documentation](self).
@@ -335,7 +286,6 @@ impl StreamDriver {
         let mut results = Vec::with_capacity(batches);
         let mut total_operations = 0usize;
         let mut applied_operations = 0usize;
-        let mut measured = 0usize;
         for batch in stream.by_ref().take(batches) {
             total_operations += batch.operations.len();
             let batch = if self.config.coalesce {
@@ -350,30 +300,18 @@ impl StreamDriver {
             observer.applied(seq, &batch, &result, solution);
             seq += 1;
             results.push(result.clone());
-            measured += 1;
         }
 
         let elapsed_secs: f64 = latencies.iter().sum();
-        let mut sorted = latencies;
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite")); // lint: allow(panic) — latencies are Duration-derived seconds, never NaN
-        let report = StreamReport {
-            solution: solution.name(),
-            batches: measured,
+        let report = StreamReport::from_latencies(
+            solution.name(),
+            latencies,
+            elapsed_secs,
             total_operations,
             applied_operations,
-            elapsed_secs,
-            updates_per_sec: if elapsed_secs > 0.0 {
-                total_operations as f64 / elapsed_secs
-            } else {
-                0.0
-            },
-            p50_latency_secs: percentile(&sorted, 50.0),
-            p90_latency_secs: percentile(&sorted, 90.0),
-            p99_latency_secs: percentile(&sorted, 99.0),
-            max_latency_secs: sorted.last().copied().unwrap_or(0.0),
             load_secs,
-            final_result: result,
-        };
+            result,
+        );
         (report, results)
     }
 }
@@ -532,140 +470,6 @@ mod tests {
                 "query {query:?}"
             );
         }
-    }
-
-    #[test]
-    fn report_json_is_well_formed() {
-        let network = network();
-        let mut solution = GraphBlasIncremental::new(Query::Q1, false);
-        let report = StreamDriver::default().run(&mut solution, &network, stream(5, &network), 3);
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for field in [
-            "\"solution\"",
-            "\"updates_per_sec\"",
-            "\"p50_latency_secs\"",
-            "\"p99_latency_secs\"",
-            "\"final_result\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-    }
-
-    #[test]
-    fn report_json_parses_back_with_serde_json() {
-        // the bench gate diffs reports by parsing them; every field must survive
-        // a round trip, including strings that need escaping
-        let network = network();
-        let mut solution = GraphBlasIncremental::new(Query::Q2, false);
-        let mut report =
-            StreamDriver::default().run(&mut solution, &network, stream(13, &network), 4);
-        report.solution = "odd \"name\"\twith\nescapes \u{1} and béyond".to_string();
-        let parsed = serde_json::from_str(&report.to_json())
-            .expect("StreamReport::to_json must emit valid JSON");
-        assert_eq!(
-            parsed.get("solution").and_then(serde_json::Value::as_str),
-            Some(report.solution.as_str())
-        );
-        assert_eq!(
-            parsed.get("batches").and_then(serde_json::Value::as_u64),
-            Some(report.batches as u64)
-        );
-        assert_eq!(
-            parsed
-                .get("total_operations")
-                .and_then(serde_json::Value::as_u64),
-            Some(report.total_operations as u64)
-        );
-        assert_eq!(
-            parsed
-                .get("final_result")
-                .and_then(serde_json::Value::as_str),
-            Some(report.final_result.as_str())
-        );
-        let close = |key: &str, expected: f64| {
-            let got = parsed
-                .get(key)
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or_else(|| panic!("missing numeric field {key}"));
-            assert!(
-                (got - expected).abs() <= 1e-6_f64.max(expected.abs() * 1e-6),
-                "field {key}: parsed {got} vs reported {expected}"
-            );
-        };
-        close("elapsed_secs", report.elapsed_secs);
-        close("updates_per_sec", report.updates_per_sec);
-        close("p50_latency_secs", report.p50_latency_secs);
-        close("p90_latency_secs", report.p90_latency_secs);
-        close("p99_latency_secs", report.p99_latency_secs);
-        close("max_latency_secs", report.max_latency_secs);
-        close("load_secs", report.load_secs);
-    }
-
-    #[test]
-    fn report_json_keeps_sub_microsecond_latencies() {
-        // regression: fixed {:.6} formatting serialized every sub-microsecond
-        // p50 as 0.000000, so the fastest (most interesting) latency figures
-        // vanished from the report
-        let network = network();
-        let mut solution = GraphBlasIncremental::new(Query::Q1, false);
-        let mut report =
-            StreamDriver::default().run(&mut solution, &network, stream(19, &network), 2);
-        report.p50_latency_secs = 2.5e-7;
-        report.p90_latency_secs = 7.5e-7;
-        let parsed = serde_json::from_str(&report.to_json()).expect("valid JSON");
-        assert_eq!(
-            parsed
-                .get("p50_latency_secs")
-                .and_then(serde_json::Value::as_f64),
-            Some(2.5e-7),
-            "sub-microsecond p50 must survive serialization at full precision"
-        );
-        assert_eq!(
-            parsed
-                .get("p90_latency_secs")
-                .and_then(serde_json::Value::as_f64),
-            Some(7.5e-7)
-        );
-        // non-finite values render as null rather than poisoning the parser
-        report.p99_latency_secs = f64::NAN;
-        let parsed = serde_json::from_str(&report.to_json()).expect("valid JSON with null");
-        assert!(matches!(
-            parsed.get("p99_latency_secs"),
-            Some(serde_json::Value::Null)
-        ));
-    }
-
-    #[test]
-    fn report_json_field_order_is_stable() {
-        let network = network();
-        let mut solution = GraphBlasIncremental::new(Query::Q1, false);
-        let report = StreamDriver::default().run(&mut solution, &network, stream(3, &network), 2);
-        let json = report.to_json();
-        let positions: Vec<usize> = [
-            "\"solution\"",
-            "\"batches\"",
-            "\"total_operations\"",
-            "\"applied_operations\"",
-            "\"elapsed_secs\"",
-            "\"updates_per_sec\"",
-            "\"p50_latency_secs\"",
-            "\"p90_latency_secs\"",
-            "\"p99_latency_secs\"",
-            "\"max_latency_secs\"",
-            "\"load_secs\"",
-            "\"final_result\"",
-        ]
-        .iter()
-        .map(|field| {
-            json.find(field)
-                .unwrap_or_else(|| panic!("missing {field}"))
-        })
-        .collect();
-        assert!(
-            positions.windows(2).all(|w| w[0] < w[1]),
-            "field order changed: {json}"
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   carries an inline `// lint: allow(panic) — <reason>` annotation; the
 //!   reason is mandatory, so `cargo run -p xtask -- lint` passing means every
 //!   remaining panic site in library code is individually documented.
-//! * **index** — in the concurrency-critical modules (`pipeline.rs`,
+//! * **index** — in the concurrency-critical modules (`lane.rs`, `pipeline.rs`,
 //!   `recovery.rs`, `serve.rs`, `sync.rs` of `ttc-social-media`), direct index
 //!   expressions `x[i]` are panic sites too; use `.get()` or annotate with
 //!   `// lint: allow(index) — <reason>`.
@@ -97,7 +97,8 @@ impl fmt::Display for Finding {
 
 /// Modules under the full panic/index/send/lock regime: the crash-recovery
 /// protocol, the epoch-published read path, and their synchronization facade.
-const STRICT_MODULES: [&str; 4] = [
+const STRICT_MODULES: [&str; 5] = [
+    "crates/ttc-social-media/src/lane.rs",
     "crates/ttc-social-media/src/pipeline.rs",
     "crates/ttc-social-media/src/recovery.rs",
     "crates/ttc-social-media/src/serve.rs",
